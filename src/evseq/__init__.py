@@ -29,13 +29,13 @@ from .curriculum import (
 )
 from .dataio import DataError, Example, read_dataset, write_dataset
 from .decoder import (
+    BatchDecodeError,
     DecodeConfig,
     DecodeError,
     DecodeResult,
     DecodeState,
     Phase,
     Scorer,
-    SchemaTries,
     TruncationError,
     candidate_vocab,
     constrained_decode,
@@ -45,7 +45,15 @@ from .decoder import (
 )
 from .evaluation import EvalReport, MetricCounts, evaluate
 from .grounding import ground_arguments, ground_records, ground_triggers
-from .schema import EventSchema, LabelTrie, SchemaError, load_schema, parse_schema, split_label
+from .schema import (
+    EventSchema,
+    LabelTrie,
+    SchemaError,
+    SchemaTries,
+    load_schema,
+    parse_schema,
+    split_label,
+)
 from .scorers import (
     NgramScorer,
     OracleScorer,
@@ -73,6 +81,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Argument",
     "BOS",
+    "BatchDecodeError",
     "CLOSE",
     "CodecError",
     "CurriculumResult",

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .schema import EventSchema, LabelTrie, build_role_tries, build_type_trie, split_label
+from .schema import EventSchema, LabelTrie, split_label
 from .span_index import tokenize
 from .tokens import BOS, CLOSE, EOS, OPEN, RESERVED_TOKENS, SENTINEL_TOKENS
 
@@ -220,8 +220,8 @@ class _Parser:
     def __init__(self, tokens: Sequence[str], schema: EventSchema):
         self.tokens = tuple(tokens)
         self.schema = schema
-        self.type_trie = build_type_trie(schema)
-        self.role_tries = build_role_tries(schema)
+        self.type_trie = schema.tries.type_trie
+        self.role_tries = schema.tries.role_tries
         self.pos = 0
 
     def fail(self, message: str, position: int | None = None) -> CodecError:

@@ -9,16 +9,26 @@ names only schema labels, and copies mentions verbatim from the input.
 
 Candidate probabilities are the scorer's raw values: masking never
 renormalizes, and scores accumulate in log domain.
+
+The schema's label tries are compiled once per schema object
+(``EventSchema.tries``) and shared by every sentence; only the span trie
+is built per input.  Beam search scores before it advances: each live
+hypothesis keeps a running score, every legal token is scored as that
+score plus its log-probability, and the automaton is stepped only for
+the ``beam_width`` survivors.  Greedy search is kept separate from beam
+width 1 because the two break ties differently (see
+``constrained_decode``).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Protocol, Sequence
 
-from .schema import EventSchema, LabelTrie, build_role_tries, build_type_trie
+from .schema import EventSchema, LabelTrie, SchemaTries
 from .span_index import (
     DEFAULT_MAX_SPAN_LEN,
     SpanTrie,
@@ -60,18 +70,6 @@ class Phase(Enum):
     IN_ARG_SPAN = "in_arg_span"
     AWAIT_END = "await_end"
     DONE = "done"
-
-
-@dataclass(frozen=True)
-class SchemaTries:
-    """The label tries a decoder walks: one for types, one per type for roles."""
-
-    type_trie: LabelTrie
-    role_tries: Mapping[str, LabelTrie]
-
-    @classmethod
-    def from_schema(cls, schema: EventSchema) -> "SchemaTries":
-        return cls(build_type_trie(schema), build_role_tries(schema))
 
 
 @dataclass(frozen=True)
@@ -178,6 +176,12 @@ def step(
             f"token {token!r} is not in the candidate vocabulary "
             f"(phase {state.phase.value}, depth {state.depth})"
         )
+    return _advance(state, token, tries)
+
+
+def _advance(state: DecodeState, token: str, tries: SchemaTries) -> DecodeState:
+    """``step`` without the legality check, for tokens the decoder drew
+    from ``candidate_vocab`` itself."""
     tokens = state.tokens + (token,)
     phase = state.phase
 
@@ -308,14 +312,21 @@ def constrained_decode(
 ) -> DecodeResult:
     """Decode one sequence for ``inp`` under grammar/schema/span constraints.
 
-    Greedy mode takes the most probable candidate at every step, breaking
-    ties toward the lexicographically smallest token.  Beam mode keeps
-    ``beam_width`` prefixes and compares finished hypotheses by total
-    log-probability without length normalization.  Raises
+    Greedy mode takes the candidate most probable at the current step,
+    breaking ties toward the lexicographically smallest token.  Beam mode
+    keeps the ``beam_width`` prefixes with the highest total
+    log-probability, ties going to the lexicographically smallest prefix,
+    and compares finished hypotheses the same way, without length
+    normalization; it scores every legal continuation first and advances
+    the automaton only for the survivors.  The two differ even at width
+    1: once a step has probability zero every beam score is -inf, so
+    beam falls back to token order while greedy still follows the
+    current step's probabilities.  The label tries come from
+    ``schema.tries``, built once per schema object.  Raises
     TruncationError when ``max_length`` is hit before the end sentinel.
     """
     config = config or DecodeConfig()
-    tries = SchemaTries.from_schema(schema)
+    tries = schema.tries
     span_trie = build_span_trie(inp, max_span_len)
     if not config.constrained:
         return _greedy_unconstrained(scorer, inp, config)
@@ -343,7 +354,7 @@ def _greedy(
         cands = candidate_vocab(state, tries, span_trie)
         chosen = min(cands, key=lambda t: (-_checked_prob(dist, t), t))
         logprobs.append(_log(_checked_prob(dist, chosen)))
-        state = step(state, chosen, tries, span_trie)
+        state = _advance(state, chosen, tries)
         prefix.append(chosen)
     return DecodeResult(state.tokens, tuple(logprobs))
 
@@ -374,10 +385,8 @@ class _Hyp:
     state: DecodeState
     prefix: tuple[str, ...]
     logprobs: tuple[float, ...] = ()
-
-    @property
-    def score(self) -> float:
-        return sum(self.logprobs)
+    # ((0.0 + lp1) + lp2) + ..., kept as the hypothesis grows
+    score: float = 0.0
 
 
 def _beam(
@@ -395,23 +404,28 @@ def _beam(
             # per-step log-probs are <= 0, so live scores cannot recover
             if all(h.score <= best_done for h in live):
                 break
-        expansions: list[_Hyp] = []
-        for hyp in live:
-            if len(hyp.prefix) >= config.max_length:
-                continue  # cannot finish within the budget; drop
+        if len(live[0].prefix) >= config.max_length:
+            break  # live prefixes share one length; none can finish
+        # Score every legal continuation, advance only the survivors.  All
+        # live prefixes have the same length, so (-score, prefix, token)
+        # orders as (-score, prefix + (token,)) does; (prefix, token) is
+        # unique, so the trailing fields never take part in a comparison.
+        scored = []
+        for i, hyp in enumerate(live):
             dist = scorer.next_distribution(inp, hyp.prefix)
             for token in candidate_vocab(hyp.state, tries, span_trie):
                 lp = _log(_checked_prob(dist, token))
-                expansions.append(
-                    _Hyp(
-                        step(hyp.state, token, tries, span_trie),
-                        hyp.prefix + (token,),
-                        hyp.logprobs + (lp,),
-                    )
-                )
-        expansions.sort(key=lambda h: (-h.score, h.prefix))
+                scored.append((-(hyp.score + lp), hyp.prefix, token, i, lp))
+        parents = live
         live = []
-        for hyp in expansions[: config.beam_width]:
+        for neg_score, prefix, token, i, lp in heapq.nsmallest(config.beam_width, scored):
+            parent = parents[i]
+            hyp = _Hyp(
+                _advance(parent.state, token, tries),
+                prefix + (token,),
+                parent.logprobs + (lp,),
+                -neg_score,
+            )
             if hyp.state.done:
                 completed.append(hyp)
             else:

@@ -5,13 +5,15 @@ Label names are split into word tokens (hyphens and whitespace are
 separators), and the resulting token sequences are indexed in tries so
 that a decoder can walk label names one token at a time.  Schemas and
 tries are immutable after construction and safe to share across
-concurrent decoders.
+concurrent decoders; ``EventSchema.tries`` builds the tries the decoder
+and the parser walk once per schema object and keeps them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 LabelTokenizer = Callable[[str], tuple[str, ...]]
@@ -93,6 +95,11 @@ class EventSchema:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.event_types)
+
+    @cached_property
+    def tries(self) -> "SchemaTries":
+        """The schema's label tries, built on first use and then shared."""
+        return SchemaTries.from_schema(self)
 
 
 def parse_schema(text: str, source_name: str = "<schema>") -> EventSchema:
@@ -269,3 +276,16 @@ def trie_children(
     return frozenset(
         (token, child.is_leaf) for token, child in trie.children(prefix).items()
     )
+
+
+@dataclass(frozen=True)
+class SchemaTries:
+    """The label tries a decoder walks: one for types, one per type for roles."""
+
+    type_trie: LabelTrie
+    role_tries: Mapping[str, LabelTrie]
+
+    @classmethod
+    def from_schema(cls, schema: EventSchema) -> "SchemaTries":
+        """Build fresh tries; ``schema.tries`` is the cached copy."""
+        return cls(build_type_trie(schema), build_role_tries(schema))

@@ -154,6 +154,8 @@ class NgramScorer:
         # extra_vocab admits tokens never seen in training (smoothing
         # still gives them mass), e.g. label tokens of a schema
         self.vocab = frozenset(counts.get(1, {}).get((), {})) | frozenset(extra_vocab)
+        # (input token set, its support) for the input decoded last
+        self._support_cache: tuple[frozenset[str], list[tuple[str, bool]]] | None = None
 
     def _table(self, prefix: Sequence[str]) -> Mapping[str, int]:
         k = min(self.order, len(prefix) + 1)
@@ -165,16 +167,25 @@ class NgramScorer:
             k -= 1
         return self.counts.get(1, {}).get((), {})
 
+    def _support(self, input_tokens: frozenset[str]) -> list[tuple[str, bool]]:
+        """Sorted ``vocab | input_tokens``, each token flagged when it is
+        an input token; kept for the last input token set seen, since a
+        decode asks for one input many times in a row."""
+        cached = self._support_cache
+        if cached is None or cached[0] != input_tokens:
+            support = [(t, t in input_tokens) for t in sorted(self.vocab | input_tokens)]
+            cached = self._support_cache = (input_tokens, support)
+        return cached[1]
+
     def next_distribution(
         self, inp: TokenizedInput, prefix: Sequence[str]
     ) -> Mapping[str, float]:
         table = self._table(prefix)
-        input_tokens = inp.token_set
         scores = {}
         total = 0.0
-        for token in sorted(self.vocab | input_tokens):
+        for token, copied in self._support(inp.token_set):
             s = table.get(token, 0) + self.alpha
-            if token in input_tokens:
+            if copied:
                 s *= self.copy_boost
             scores[token] = s
             total += s

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .tokens import RESERVED_TOKENS
@@ -58,7 +59,7 @@ class TokenizedInput:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
+    @cached_property
     def token_set(self) -> frozenset[str]:
         return frozenset(self.tokens)
 

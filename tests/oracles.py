@@ -9,10 +9,28 @@ these, both sides were written separately on purpose.
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import dataclass
 from typing import Sequence
 
-from evseq import Argument, EventRecord, EventSchema, Mention
+from evseq import (
+    BOS,
+    Argument,
+    DecodeConfig,
+    DecodeError,
+    DecodeResult,
+    DecodeState,
+    EventRecord,
+    EventSchema,
+    Mention,
+    SchemaTries,
+    TokenizedInput,
+    TruncationError,
+    build_span_trie,
+    candidate_vocab,
+    step,
+)
 
 
 def contiguous_subsequences(tokens: Sequence[str], max_len: int) -> set[tuple[str, ...]]:
@@ -214,3 +232,79 @@ def random_eval_records(
             args.append(Argument(rng.choice(("RoleX", "RoleY")), mention))
         records.append(EventRecord(event_type, trigger, tuple(args)))
     return records
+
+
+@dataclass(frozen=True)
+class _Hyp:
+    state: DecodeState
+    prefix: tuple[str, ...]
+    logprobs: tuple[float, ...] = ()
+
+    @property
+    def score(self) -> float:
+        # left to right, as sum() adds floats before Python 3.12
+        total = 0.0
+        for lp in self.logprobs:
+            total += lp
+        return total
+
+
+def _checked_prob(dist, token: str) -> float:
+    p = dist.get(token, 0.0)
+    if math.isnan(p) or math.isinf(p) or p < 0.0:
+        raise DecodeError(f"scorer produced a non-finite or negative score for {token!r}: {p}")
+    return p
+
+
+def _log(p: float) -> float:
+    return math.log(p) if p > 0.0 else float("-inf")
+
+
+def reference_beam(
+    scorer, inp: TokenizedInput, schema: EventSchema, config: DecodeConfig
+) -> DecodeResult:
+    """Expand-everything beam search, the specification of beam mode.
+
+    Every legal continuation of every live hypothesis becomes a full
+    hypothesis (a stepped automaton state and a re-summed score); all of
+    them are sorted by (-score, prefix) and the first ``beam_width`` are
+    kept.  Finished hypotheses stop the search once no live one scores
+    above the best of them.  The automaton itself (``candidate_vocab``,
+    ``step``) is the library's; only the search is independent.
+    """
+    tries = SchemaTries.from_schema(schema)
+    span_trie = build_span_trie(inp)
+    live = [_Hyp(DecodeState(), (BOS,))]
+    completed: list[_Hyp] = []
+    while live:
+        if completed:
+            best_done = max(h.score for h in completed)
+            if all(h.score <= best_done for h in live):
+                break
+        expansions: list[_Hyp] = []
+        for hyp in live:
+            if len(hyp.prefix) >= config.max_length:
+                continue
+            dist = scorer.next_distribution(inp, hyp.prefix)
+            for token in candidate_vocab(hyp.state, tries, span_trie):
+                lp = _log(_checked_prob(dist, token))
+                expansions.append(
+                    _Hyp(
+                        step(hyp.state, token, tries, span_trie),
+                        hyp.prefix + (token,),
+                        hyp.logprobs + (lp,),
+                    )
+                )
+        expansions.sort(key=lambda h: (-h.score, h.prefix))
+        live = []
+        for hyp in expansions[: config.beam_width]:
+            if hyp.state.done:
+                completed.append(hyp)
+            else:
+                live.append(hyp)
+    if not completed:
+        raise TruncationError(
+            f"no hypothesis finished within max_length={config.max_length} tokens"
+        )
+    best = min(completed, key=lambda h: (-h.score, h.prefix))
+    return DecodeResult(best.state.tokens, best.logprobs)

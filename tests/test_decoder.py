@@ -1,6 +1,9 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evseq import (
     BOS,
@@ -12,9 +15,11 @@ from evseq import (
     DecodeError,
     DecodeState,
     Phase,
+    RandomScorer,
     SchemaTries,
     TokenizedInput,
     TruncationError,
+    UniformScorer,
     build_span_trie,
     candidate_vocab,
     constrained_decode,
@@ -24,13 +29,14 @@ from evseq import (
     oracle_scorer,
     parse_schema,
     sequence_nll,
+    split_label,
     step,
     train_ngram,
     uniform_scorer,
 )
 from evseq.decoder import BatchDecodeError
 
-from oracles import enumerate_language
+from oracles import enumerate_language, random_schema, reference_beam
 
 
 def replay(tokens, schema, inp, max_span_len=16):
@@ -415,6 +421,122 @@ def test_decoded_mentions_are_input_spans(fig_schema, fig_input, fig_seq):
             assert trie.is_span(arg.mention.tokens)
 
 
+class DeadStartScorer:
+    """Zero mass on the first token, then ")" over "(" at every step."""
+
+    def next_distribution(self, inp, prefix):
+        if len(prefix) == 1:
+            return {}
+        return {CLOSE: 0.6, OPEN: 0.4}
+
+
+def test_beam_width_one_differs_from_greedy_after_zero_probability(tiny_schema):
+    # After the -inf first step every width-1 beam candidate scores -inf,
+    # so the tie goes to the smaller prefix and "(" keeps opening events;
+    # greedy still compares the current step's probabilities and closes.
+    inp = TokenizedInput.from_tokens(["tok"])
+    greedy = constrained_decode(
+        DeadStartScorer(), inp, tiny_schema, DecodeConfig(max_length=24)
+    )
+    assert greedy.tokens == (OPEN, CLOSE)
+    assert greedy.logprobs[:2] == (float("-inf"), math.log(0.6))
+    config = DecodeConfig(mode="beam", beam_width=1, max_length=24)
+    with pytest.raises(TruncationError):
+        constrained_decode(DeadStartScorer(), inp, tiny_schema, config)
+
+
+# ------------------------------------------ beam against the reference search
+
+
+PREFIX_SCHEMA = parse_schema(
+    "End: Re\nEnd-Position: Re, Place\nTransfer-Money: Giver\nTransfer-Ownership: Buyer"
+)
+
+
+class GappyScorer:
+    """A random scorer that drops its below-average tokens, so some legal
+    continuations score -inf and others do not."""
+
+    def __init__(self, vocab, seed):
+        self.base = RandomScorer(vocab, seed)
+
+    def next_distribution(self, inp, prefix):
+        dist = self.base.next_distribution(inp, prefix)
+        return {t: p for t, p in dist.items() if p * len(dist) > 1.0}
+
+
+def test_beam_stops_when_live_ties_best_finished_at_minus_inf():
+    # "( )" finishes at -inf while "( ( T x ..." is still live at -inf;
+    # a live score equal to the best finished one cannot win, so the
+    # search stops there, as the reference does.
+    schema = parse_schema("T: R")
+    inp = TokenizedInput.from_tokens(["x"])
+    config = DecodeConfig(mode="beam", beam_width=3, max_length=20)
+    got = constrained_decode(EmptyScorer(), inp, schema, config)
+    assert got == reference_beam(EmptyScorer(), inp, schema, config)
+    assert got.tokens == (OPEN, CLOSE)
+
+
+def random_walk(rng, schema, inp, soft_len):
+    """A random legal body: it closes only once past ``soft_len`` tokens."""
+    tries = SchemaTries.from_schema(schema)
+    span_trie = build_span_trie(inp)
+    state = DecodeState()
+    while True:
+        cands = sorted(candidate_vocab(state, tries, span_trie))
+        if cands == [EOS]:
+            return state.tokens
+        if len(state.tokens) < soft_len and len(cands) > 1:
+            token = rng.choice([t for t in cands if t != CLOSE])
+        elif CLOSE in cands:
+            token = CLOSE
+        else:
+            token = rng.choice(cands)
+        state = step(state, token, tries, span_trie)
+
+
+def _decode_or_truncate(decode):
+    try:
+        return decode()
+    except TruncationError:
+        return "truncated"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    kind=st.sampled_from(["random", "uniform", "empty", "gappy", "noisy-oracle"]),
+    width=st.integers(min_value=1, max_value=5),
+    max_length=st.integers(min_value=4, max_value=30),
+)
+def test_beam_equals_reference_search(seed, kind, width, max_length):
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        schema = PREFIX_SCHEMA
+    else:
+        schema = random_schema(rng, max_types=4, max_roles=3)
+    # words and label tokens, so that mentions can collide with labels
+    pool = ["x", "y", "z", *(t for name in schema.types for t in split_label(name))]
+    inp = TokenizedInput.from_tokens([rng.choice(pool) for _ in range(rng.randint(0, 5))])
+    vocab = decoding_vocab(schema, inp)
+    scorer = {
+        "random": lambda: RandomScorer(vocab, seed),
+        "uniform": lambda: UniformScorer(vocab),
+        "empty": EmptyScorer,  # zero mass everywhere: every score is -inf
+        "gappy": lambda: GappyScorer(vocab, seed),
+        # long targets, and uniform ties once a hypothesis leaves them
+        "noisy-oracle": lambda: oracle_scorer(
+            random_walk(rng, schema, inp, rng.randint(2, max_length)),
+            rng.choice((0.05, 0.3, 0.6)),
+            vocab,
+        ),
+    }[kind]()
+    config = DecodeConfig(mode="beam", beam_width=width, max_length=max_length)
+    got = _decode_or_truncate(lambda: constrained_decode(scorer, inp, schema, config))
+    want = _decode_or_truncate(lambda: reference_beam(scorer, inp, schema, config))
+    assert got == want  # tokens and logprobs, floats compared with ==
+
+
 # --------------------------------------------------------------------- batch
 
 
@@ -449,6 +571,12 @@ def test_decode_batch_aggregates_errors(tiny_schema):
     assert [i for i, _ in exc.value.errors] == [1]
     assert isinstance(exc.value.errors[0][1], TruncationError)
     assert "item 1" in str(exc.value)
+
+
+def test_batch_decode_error_is_exported():
+    from evseq import BatchDecodeError as exported
+
+    assert exported is BatchDecodeError
 
 
 # ---------------------------------------------------------------------- nll

@@ -158,6 +158,19 @@ def test_build_tries_from_schema(fig_schema):
     assert empty.is_empty
 
 
+def test_schema_tries_are_built_once_per_schema(fig_schema):
+    schema = EventSchema(dict(fig_schema.event_types))
+    tries = schema.tries
+    assert schema.tries is tries
+    assert dict(tries.type_trie.paths()) == dict(build_type_trie(schema).paths())
+    assert {t: dict(trie.paths()) for t, trie in tries.role_tries.items()} == {
+        t: dict(trie.paths()) for t, trie in build_role_tries(schema).items()
+    }
+    # the cache is per object and leaves equality alone
+    other = EventSchema(dict(fig_schema.event_types))
+    assert other == schema and other.tries is not tries
+
+
 def test_custom_tokenizer_is_pluggable():
     # Character-level tokenizer instead of word-level.
     chars = lambda label: tuple(label)

@@ -181,6 +181,21 @@ def test_ngram_extends_vocabulary_with_input_tokens():
     assert "novel" not in without
 
 
+def test_ngram_input_cache_follows_token_set_value():
+    # The per-input support is cached for the last token set seen; equal
+    # sets from distinct inputs share it, and switching inputs rebuilds it.
+    corpus = [(EMPTY, ("a", "b")), (EMPTY, ("a", "c"))]
+    first = TokenizedInput.from_tokens(["b", "x"])
+    same_set = TokenizedInput.from_tokens(["x", "b", "x"])
+    other = TokenizedInput.from_tokens(["c"])
+    scorer = train_ngram(corpus, n=2)
+    for inp in (first, other, same_set, first, EMPTY, other):
+        fresh = train_ngram(corpus, n=2)
+        for prefix in (("<bos>",), ("<bos>", "a")):
+            want = fresh.next_distribution(inp, prefix)
+            assert scorer.next_distribution(inp, prefix) == want
+
+
 def test_ngram_extra_vocab_gets_smoothing_mass():
     scorer = train_ngram(one_item_corpus(), n=2, extra_vocab=["Transport"])
     dist = scorer.next_distribution(EMPTY, ("<bos>",))
