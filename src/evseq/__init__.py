@@ -71,7 +71,6 @@ from .span_index import (
     TokenizedInput,
     build_span_trie,
     find_occurrences,
-    span_continuations,
     tokenize,
 )
 from .tokens import BOS, CLOSE, EOS, OPEN
@@ -134,7 +133,6 @@ __all__ = [
     "read_dataset",
     "save_scorer",
     "sequence_nll",
-    "span_continuations",
     "split_label",
     "step",
     "strip_sentinels",

@@ -7,11 +7,14 @@ parentheses and each event and argument in its own pair:
 
     ( ( Transport returned ( Artifact The man ) ( Origin Mexico ) ) )
 
-Multi-token labels contribute one token per word part, so the event
-type "Arrest-Jail" appears as the two tokens "Arrest Jail".  An empty
-record list linearizes to "( )".  Sibling order is span appearance
-order: events sort by trigger offset, arguments within an event by
-argument offset, which is why linearization requires grounded mentions.
+Multi-token labels contribute one token per word part, as the schema's
+``split_label`` splits them, so the event type "Arrest-Jail" appears as
+the two tokens "Arrest Jail".  An empty record list linearizes to
+"( )".  Sibling order is span appearance order: events sort by trigger
+offset, arguments within an event by argument offset, which is why
+linearization requires grounded mentions.  ``linearize`` arranges the
+records as a labeled tree (``to_tree``) and renders it depth-first
+(``tree_to_seq``); there is no other renderer.
 
 ``delinearize`` inverts ``linearize`` on well-formed sequences, up to
 the offsets (a surface parse cannot know them).  When a label is a
@@ -23,6 +26,7 @@ by taking the longest matching label.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .schema import EventSchema, LabelTrie, split_label
@@ -57,8 +61,9 @@ class Mention:
         if not self.text:
             raise CodecError("mention text must be non-empty")
 
-    @property
+    @cached_property
     def tokens(self) -> tuple[str, ...]:
+        """Token form of ``text``, computed on first use and kept."""
         return tokenize(self.text).tokens
 
     @property
@@ -89,9 +94,9 @@ class EventRecord:
         object.__setattr__(self, "args", tuple(self.args))
 
 
-def mention_tokens(text: str) -> tuple[str, ...]:
+def mention_tokens(mention: Mention) -> tuple[str, ...]:
     """Token form of a mention; rejects empty and reserved-token mentions."""
-    toks = tokenize(text).tokens
+    text, toks = mention.text, mention.tokens
     if not toks:
         raise CodecError(f"mention text {text!r} contains no tokens")
     for tok in toks:
@@ -152,22 +157,10 @@ def linearize(
 
     Every mention must carry a token offset: siblings are emitted in
     span appearance order (ties broken by span end, then label name).
-    Types and roles are validated when a schema is supplied.
+    Types and roles are validated when a schema is supplied.  This is
+    ``tree_to_seq(to_tree(records, schema))``.
     """
-    out: list[str] = [OPEN]
-    for record in _ordered_records(records):
-        _check_against_schema(record, schema)
-        out.append(OPEN)
-        out.extend(split_label(record.type))
-        out.extend(mention_tokens(record.trigger.text))
-        for arg in record.args:
-            out.append(OPEN)
-            out.extend(split_label(arg.role))
-            out.extend(mention_tokens(arg.mention.text))
-            out.append(CLOSE)
-        out.append(CLOSE)
-    out.append(CLOSE)
-    return tuple(out)
+    return tree_to_seq(to_tree(records, schema))
 
 
 @dataclass(frozen=True)
@@ -190,10 +183,11 @@ def to_tree(
     events = []
     for record in _ordered_records(records):
         _check_against_schema(record, schema)
+        trigger = mention_tokens(record.trigger)
         args = tuple(
-            TreeNode(arg.role, mention_tokens(arg.mention.text)) for arg in record.args
+            TreeNode(arg.role, mention_tokens(arg.mention)) for arg in record.args
         )
-        events.append(TreeNode(record.type, mention_tokens(record.trigger.text), args))
+        events.append(TreeNode(record.type, trigger, args))
     return TreeNode(None, (), tuple(events))
 
 

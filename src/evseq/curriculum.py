@@ -3,8 +3,10 @@
 A substructure unit is one flat "( label span )" fragment: the event
 type with its trigger words, or a role with its argument words.  Easy
 targets made of such units are trained first, the full nested structures
-second.  For the count-based scorer the two passes are weighted by
-epoch counts and simply added into one count table.
+second.  For the count-based scorer an epoch count is a pass weight:
+the curriculum's table is sub_epochs times the substructure counts plus
+full_epochs times the full-target counts, the same table as counting
+each target that many times.
 
 The synthetic generator plants mentions into filler sentences so that
 every mention occurs exactly once per sentence and triggers appear in
@@ -23,7 +25,14 @@ from .codec import Argument, EventRecord, Mention, linearize, to_tree
 from .dataio import Example
 from .decoder import sequence_nll
 from .schema import EventSchema, split_label
-from .scorers import NgramScorer, train_ngram
+from .scorers import (
+    EMPTY_CORPUS,
+    Counts,
+    NgramScorer,
+    add_counts,
+    count_ngrams,
+    train_ngram,
+)
 from .span_index import TokenizedInput
 from .tokens import CLOSE, OPEN, RESERVED_TOKENS
 
@@ -99,12 +108,8 @@ def generate_synthetic(
     sequence occurs exactly once.  Event count per sentence is uniform
     on 0..max_events, so a fraction of sentences carry no events.
     """
-    label_tokens = set()
-    for event_type in schema.types:
-        label_tokens.update(split_label(event_type))
-        for role in schema.roles(event_type):
-            label_tokens.update(split_label(role))
-    words = [w for w in vocab if w not in label_tokens and w not in RESERVED_TOKENS]
+    excluded = schema.label_tokens | RESERVED_TOKENS
+    words = [w for w in vocab if w not in excluded]
     if len(words) < 12:
         raise ValueError(
             f"need at least 12 usable filler words, got {len(words)} "
@@ -246,9 +251,11 @@ def curriculum_train(
 
     The curriculum scorer counts substructure targets ``sub_epochs``
     times and full targets ``full_epochs`` times (epochs act as pass
-    weights for a count model); the direct scorer is exactly one pass
-    over full targets.  Label tokens from the whole corpus are folded
-    into the vocabulary so held-out NLLs stay finite under smoothing.
+    weights for a count model; one ≤ 0 adds nothing); the direct scorer
+    is exactly one pass over full targets, and its counts are the full
+    targets' share of the curriculum table.  Label tokens from the whole
+    corpus are folded into the vocabulary so held-out NLLs stay finite
+    under smoothing.
     """
     train, heldout = split_corpus(corpus, heldout_fraction, seed)
     extra_vocab = _label_vocab(corpus)
@@ -256,10 +263,17 @@ def curriculum_train(
     subs: list[TargetPair] = []
     for inp, records in train:
         subs.extend(extract_substructures(inp, records, mode))
-    scorer_curriculum = train_ngram(
-        subs * sub_epochs + full * full_epochs, n, alpha, copy_boost, extra_vocab
-    )
+    # the counts of subs * sub_epochs + full * full_epochs, without
+    # building that list; an epoch count <= 0 adds no key at all
+    if not ((sub_epochs > 0 and subs) or (full_epochs > 0 and full)):
+        raise ValueError(EMPTY_CORPUS)
     scorer_direct = train_ngram(full, n, alpha, copy_boost, extra_vocab)
+    counts: Counts = {}
+    if sub_epochs > 0:
+        add_counts(counts, count_ngrams((t for _, t in subs), n), sub_epochs)
+    if full_epochs > 0:
+        add_counts(counts, scorer_direct.counts, full_epochs)
+    scorer_curriculum = NgramScorer(n, counts, alpha, copy_boost, extra_vocab)
     heldout_targets = [(inp, linearize(records)) for inp, records in heldout]
     nll_curriculum = fmean(
         sequence_nll(scorer_curriculum, inp, target) for inp, target in heldout_targets

@@ -8,11 +8,13 @@ lists aligned by sentence id:
   Arg-I   argument token span and the containing event type match
   Arg-C   Arg-I and the role matches
 
-Matching is one-to-one and greedy in reading order: each predicted item
-claims the first still-unmatched gold item with an equal key.  Because
-keys are compared by equality only, this greedy scheme is optimal (it
-matches min(gold, predicted) occurrences of every key); the test suite
-verifies that against an exhaustive matcher.
+Matching is one-to-one between items with equal keys, so a sentence
+matches min(gold, predicted) occurrences of every key: the size of the
+multiset intersection of its gold and predicted keys.  Keys are
+compared by equality only, so no one-to-one matching can do better (an
+item can only pair with an item of its own key, and each key pairs at
+most min(gold, predicted) times); the test suite verifies this against
+an exhaustive matcher.
 
 Gold mentions must be grounded.  Ungrounded predictions are kept and
 simply never match, which charges them to precision.
@@ -20,6 +22,7 @@ simply never match, which charges them to precision.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -125,17 +128,9 @@ def _argument_items(records: Sequence[EventRecord], classified: bool) -> list[tu
     return items
 
 
-def _greedy_match(gold_items: list[tuple], pred_items: list[tuple]) -> int:
-    """Reading-order one-to-one matching; each gold item used at most once."""
-    used = [False] * len(gold_items)
-    matched = 0
-    for pred in pred_items:
-        for j, gold in enumerate(gold_items):
-            if not used[j] and gold == pred:
-                used[j] = True
-                matched += 1
-                break
-    return matched
+def _match_count(gold_items: list[tuple], pred_items: list[tuple]) -> int:
+    """Size of a one-to-one matching: min(gold, predicted) per key, summed."""
+    return sum((Counter(gold_items) & Counter(pred_items)).values())
 
 
 def _require_grounded(records: Sequence[EventRecord], sent_id: str) -> None:
@@ -190,7 +185,7 @@ def evaluate(
             counts = MetricCounts(
                 len(gold_items),
                 len(pred_items),
-                _greedy_match(gold_items, pred_items),
+                _match_count(gold_items, pred_items),
             )
             totals[metric] = totals[metric] + counts
     return EvalReport(**totals)

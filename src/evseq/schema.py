@@ -1,12 +1,15 @@
 """Event schemas and tries over multi-token label names.
 
 A schema maps each event-type name to the argument roles it permits.
-Label names are split into word tokens (hyphens and whitespace are
-separators), and the resulting token sequences are indexed in tries so
-that a decoder can walk label names one token at a time.  Schemas and
-tries are immutable after construction and safe to share across
-concurrent decoders; ``EventSchema.tries`` builds the tries the decoder
-and the parser walk once per schema object and keeps them.
+Label names are split into word tokens by ``split_label`` (hyphens and
+whitespace are separators); that split is the only one the decoder,
+the parser, ``linearize`` and the curriculum use.  The resulting token
+sequences are indexed in tries so that a decoder can walk label names
+one token at a time.  Schemas and tries are immutable after
+construction and safe to share across concurrent decoders.  Each schema
+object computes two things once and keeps them: ``EventSchema.tries``,
+the tries the decoder and the parser walk, and
+``EventSchema.label_tokens``, the set of word tokens of all its names.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
-
-LabelTokenizer = Callable[[str], tuple[str, ...]]
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 _NAME_RE = re.compile(r"[A-Za-z0-9-]+\Z")
 
@@ -31,10 +33,6 @@ class SchemaError(ValueError):
 
 def split_label(label: str) -> tuple[str, ...]:
     """Split a label name into word tokens at hyphens and whitespace.
-
-    This is the default label tokenizer; any callable with the same
-    signature can be supplied to the trie builders to swap in e.g. a
-    subword tokenizer.
 
     >>> split_label("Transfer-Ownership")
     ('Transfer', 'Ownership')
@@ -100,6 +98,12 @@ class EventSchema:
     def tries(self) -> "SchemaTries":
         """The schema's label tries, built on first use and then shared."""
         return SchemaTries.from_schema(self)
+
+    @cached_property
+    def label_tokens(self) -> frozenset[str]:
+        """Word tokens of every type and role name, computed on first use."""
+        names = [*self.event_types, *chain.from_iterable(self.event_types.values())]
+        return frozenset(token for name in names for token in split_label(name))
 
 
 def parse_schema(text: str, source_name: str = "<schema>") -> EventSchema:
@@ -175,14 +179,10 @@ class LabelTrie:
     root: TrieNode = field(default_factory=TrieNode)
 
     @classmethod
-    def build(
-        cls,
-        labels: Iterable[str],
-        tokenizer: LabelTokenizer = split_label,
-    ) -> "LabelTrie":
+    def build(cls, labels: Iterable[str]) -> "LabelTrie":
         root = TrieNode()
         for label in labels:
-            tokens = tokenizer(label)
+            tokens = split_label(label)
             if not tokens:
                 raise SchemaError(f"label {label!r} tokenizes to zero tokens")
             node = root
@@ -233,51 +233,6 @@ class LabelTrie:
         yield from walk(self.root, ())
 
 
-def tokenize_label(label: str, tokenizer: LabelTokenizer = split_label) -> tuple[str, ...]:
-    """Deterministic token sequence for a type or role name."""
-    if not label:
-        raise SchemaError("cannot tokenize an empty label")
-    return tokenizer(label)
-
-
-def build_type_trie(
-    schema: EventSchema, tokenizer: LabelTokenizer = split_label
-) -> LabelTrie:
-    """Trie whose leaves enumerate exactly the schema's event-type labels."""
-    return LabelTrie.build(schema.types, tokenizer)
-
-
-def build_role_trie(
-    schema: EventSchema,
-    event_type: str,
-    tokenizer: LabelTokenizer = split_label,
-) -> LabelTrie:
-    """Trie over the roles permitted for ``event_type``.
-
-    A type with zero roles yields a root-only trie.
-    """
-    return LabelTrie.build(schema.roles(event_type), tokenizer)
-
-
-def build_role_tries(
-    schema: EventSchema, tokenizer: LabelTokenizer = split_label
-) -> dict[str, LabelTrie]:
-    """Per-type role tries for every event type in the schema."""
-    return {t: build_role_trie(schema, t, tokenizer) for t in schema.types}
-
-
-def trie_children(
-    trie: LabelTrie, prefix: Sequence[str]
-) -> frozenset[tuple[str, bool]]:
-    """Child tokens reachable from ``prefix``, flagged when they complete a label.
-
-    Raises KeyError when ``prefix`` is not a path in the trie.
-    """
-    return frozenset(
-        (token, child.is_leaf) for token, child in trie.children(prefix).items()
-    )
-
-
 @dataclass(frozen=True)
 class SchemaTries:
     """The label tries a decoder walks: one for types, one per type for roles."""
@@ -287,5 +242,11 @@ class SchemaTries:
 
     @classmethod
     def from_schema(cls, schema: EventSchema) -> "SchemaTries":
-        """Build fresh tries; ``schema.tries`` is the cached copy."""
-        return cls(build_type_trie(schema), build_role_tries(schema))
+        """Build fresh tries; ``schema.tries`` is the cached copy.
+
+        A type with zero roles gets a root-only role trie.
+        """
+        return cls(
+            LabelTrie.build(schema.types),
+            {t: LabelTrie.build(schema.roles(t)) for t in schema.types},
+        )

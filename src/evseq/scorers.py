@@ -15,7 +15,7 @@ import json
 import random
 from typing import Iterable, Mapping, Sequence
 
-from .schema import EventSchema, split_label
+from .schema import EventSchema
 from .span_index import TokenizedInput
 from .tokens import BOS, EOS, RESERVED_TOKENS
 
@@ -24,14 +24,8 @@ def decoding_vocab(
     schema: EventSchema, inp: TokenizedInput | None = None
 ) -> frozenset[str]:
     """Every token decoding can involve: structure, sentinels, labels, input."""
-    vocab = set(RESERVED_TOKENS)
-    for event_type in schema.types:
-        vocab.update(split_label(event_type))
-        for role in schema.roles(event_type):
-            vocab.update(split_label(role))
-    if inp is not None:
-        vocab.update(inp.tokens)
-    return frozenset(vocab)
+    vocab = RESERVED_TOKENS | schema.label_tokens
+    return vocab if inp is None else vocab.union(inp.tokens)
 
 
 class UniformScorer:
@@ -120,6 +114,7 @@ class RandomScorer:
 
 
 Counts = dict[int, dict[tuple[str, ...], dict[str, int]]]
+EMPTY_CORPUS = "cannot train an n-gram scorer on an empty corpus"
 
 
 class NgramScorer:
@@ -192,6 +187,31 @@ class NgramScorer:
         return {token: s / total for token, s in scores.items()}
 
 
+def count_ngrams(targets: Iterable[Sequence[str]], n: int) -> Counts:
+    """Count n-grams of orders 1..n over sentinel-bracketed target sequences."""
+    counts: Counts = {k: {} for k in range(1, n + 1)}
+    for target in targets:
+        stream = (BOS, *target, EOS)
+        for k in range(1, n + 1):
+            tables = counts[k]
+            for i in range(k - 1, len(stream)):
+                context = stream[i - k + 1 : i]
+                table = tables.setdefault(context, {})
+                table[stream[i]] = table.get(stream[i], 0) + 1
+    return counts
+
+
+def add_counts(total: Counts, counts: Counts, weight: int) -> None:
+    """Add ``weight`` times ``counts`` into ``total``: what ``weight`` more
+    passes over the targets behind ``counts`` would add."""
+    for k, tables in counts.items():
+        total_tables = total.setdefault(k, {})
+        for context, table in tables.items():
+            total_table = total_tables.setdefault(context, {})
+            for token, c in table.items():
+                total_table[token] = total_table.get(token, 0) + weight * c
+
+
 def train_ngram(
     corpus: Iterable[tuple[TokenizedInput, Sequence[str]]],
     n: int = 3,
@@ -205,20 +225,10 @@ def train_ngram(
     inputs are carried for interface symmetry but only targets are
     counted (input conditioning happens at query time via copy_boost).
     """
-    counts: Counts = {k: {} for k in range(1, n + 1)}
-    empty = True
-    for _inp, target in corpus:
-        empty = False
-        stream = (BOS, *target, EOS)
-        for k in range(1, n + 1):
-            tables = counts[k]
-            for i in range(k - 1, len(stream)):
-                context = stream[i - k + 1 : i]
-                table = tables.setdefault(context, {})
-                table[stream[i]] = table.get(stream[i], 0) + 1
-    if empty:
-        raise ValueError("cannot train an n-gram scorer on an empty corpus")
-    return NgramScorer(n, counts, alpha, copy_boost, extra_vocab)
+    targets = [target for _inp, target in corpus]
+    if not targets:
+        raise ValueError(EMPTY_CORPUS)
+    return NgramScorer(n, count_ngrams(targets, n), alpha, copy_boost, extra_vocab)
 
 
 NGRAM_FORMAT = "evseq-ngram"

@@ -149,11 +149,6 @@ def build_span_trie(
     return SpanTrie(inp.tokens, max_span_len)
 
 
-def span_continuations(trie: SpanTrie, partial: Sequence[str]) -> frozenset[str]:
-    """Tokens that extend ``partial`` to a longer span of the same input."""
-    return trie.children(partial)
-
-
 def find_occurrences(
     haystack: Sequence[str], needle: Sequence[str]
 ) -> list[int]:

@@ -32,6 +32,24 @@ def test_mention_properties():
     assert not free.grounded
 
 
+def test_mention_tokens_are_computed_once(monkeypatch):
+    import evseq.codec
+
+    calls = []
+    real = evseq.codec.tokenize
+    monkeypatch.setattr(
+        evseq.codec, "tokenize", lambda text: calls.append(text) or real(text)
+    )
+    m = Mention("Los Angeles", token_start=4)
+    assert m.tokens == ("Los", "Angeles")
+    assert (m.token_end, m.token_end, m.tokens) == (6, 6, ("Los", "Angeles"))
+    assert calls == ["Los Angeles"]
+    # the cache stays out of equality and hashing
+    fresh = Mention("Los Angeles", token_start=4)
+    assert m == fresh and hash(m) == hash(fresh)
+    assert m != Mention("Los Angeles") and len({m, fresh}) == 1
+
+
 def test_mention_rejects_empty_text():
     with pytest.raises(CodecError):
         Mention("")
@@ -39,9 +57,9 @@ def test_mention_rejects_empty_text():
 
 def test_mention_tokens_rejects_reserved():
     with pytest.raises(CodecError):
-        mention_tokens("open ( paren")
+        mention_tokens(Mention("open ( paren"))
     with pytest.raises(CodecError):
-        mention_tokens("   ")
+        mention_tokens(Mention("   "))
 
 
 def test_sentinel_wrapping():
@@ -154,6 +172,16 @@ def test_linearize_validates_against_schema(fig_schema):
             ],
             fig_schema,
         )
+
+
+def test_linearize_names_a_bad_trigger_before_a_bad_argument():
+    # a reserved token in both the trigger and its argument
+    record = EventRecord(
+        "Attack", Mention("a (", 0), (Argument("Target", Mention("b )", 2)),)
+    )
+    for encode in (linearize, to_tree):
+        with pytest.raises(CodecError, match="'a \\('"):
+            encode([record])
 
 
 def test_delinearize_worked_example(fig_seq, fig_schema, fig_records):

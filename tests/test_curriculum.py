@@ -10,10 +10,12 @@ from evseq import (
     generate_synthetic,
     ground_records,
     linearize,
+    save_scorer,
     train_ngram,
 )
 from evseq.curriculum import (
     DEFAULT_WORDS,
+    _label_vocab,
     dataset_stats,
     split_corpus,
     substructure_units,
@@ -221,18 +223,70 @@ def merged(a, b):
     return out
 
 
-def test_curriculum_counts_are_weighted_sums(fig_schema):
+@pytest.mark.parametrize(
+    "sub_epochs, full_epochs, mode, with_events",
+    [
+        (5, 30, "concatenated", True),
+        (2, 7, "per_unit", True),
+        (0, 30, "concatenated", True),
+        (-2, 3, "concatenated", True),
+        (4, 0, "per_unit", True),
+        (3, -1, "concatenated", True),
+        (0, 0, "concatenated", True),
+        (5, 30, "per_unit", False),
+        (5, 0, "per_unit", False),
+    ],
+    ids=[
+        "default",
+        "per_unit",
+        "sub_epochs_0",
+        "sub_epochs_negative",
+        "full_epochs_0",
+        "full_epochs_negative",
+        "both_epochs_0",
+        "per_unit_no_events",
+        "per_unit_no_events_full_epochs_0",
+    ],
+)
+def test_curriculum_counts_are_weighted_sums(
+    fig_schema, tmp_path, sub_epochs, full_epochs, mode, with_events
+):
     pairs = synthetic_pairs(fig_schema)
-    result = curriculum_train(pairs, sub_epochs=5, full_epochs=30, seed=0)
+    if not with_events:
+        pairs = [(inp, ()) for inp, _ in pairs]
     train, _ = split_corpus(pairs, heldout_fraction=0.2, seed=0)
     full = [(inp, linearize(records)) for inp, records in train]
     subs = []
     for inp, records in train:
-        subs.extend(extract_substructures(inp, records))
-    sub_counts = train_ngram(subs).counts
-    full_counts = train_ngram(full).counts
-    expected = merged(scaled(sub_counts, 5), scaled(full_counts, 30))
-    assert result.scorer_curriculum.counts == expected
+        subs.extend(extract_substructures(inp, records, mode))
+    # the training list the epochs stand for: each target repeated
+    replicated = subs * sub_epochs + full * full_epochs
+
+    def run():
+        return curriculum_train(
+            pairs, sub_epochs=sub_epochs, full_epochs=full_epochs, seed=0, mode=mode
+        )
+
+    if not replicated:
+        with pytest.raises(ValueError, match="empty corpus"):
+            train_ngram(replicated)
+        with pytest.raises(ValueError, match="empty corpus"):
+            run()
+        return
+    result = run()
+    expected = train_ngram(replicated, extra_vocab=_label_vocab(pairs))
+    assert result.scorer_curriculum.counts == expected.counts
+    save_scorer(result.scorer_curriculum, tmp_path / "weighted.json")
+    save_scorer(expected, tmp_path / "replicated.json")
+    assert (tmp_path / "weighted.json").read_bytes() == (
+        tmp_path / "replicated.json"
+    ).read_bytes()
+    if sub_epochs > 0 and full_epochs > 0 and subs:
+        sub_counts = train_ngram(subs).counts
+        full_counts = train_ngram(full).counts
+        assert result.scorer_curriculum.counts == merged(
+            scaled(sub_counts, sub_epochs), scaled(full_counts, full_epochs)
+        )
 
 
 def test_direct_scorer_is_exactly_one_pass(fig_schema):

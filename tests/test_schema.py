@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evseq import EventSchema, LabelTrie, SchemaError, parse_schema, split_label
-from evseq.schema import (
-    build_role_trie,
-    build_role_tries,
-    build_type_trie,
-    tokenize_label,
-    trie_children,
+from evseq import (
+    EventSchema,
+    LabelTrie,
+    SchemaError,
+    SchemaTries,
+    parse_schema,
+    split_label,
 )
 
 from oracles import random_schema
@@ -27,11 +27,6 @@ def test_split_label_single_token():
 def test_split_label_whitespace_and_mixed():
     assert split_label("Start Position") == ("Start", "Position")
     assert split_label("End-Org Merge") == ("End", "Org", "Merge")
-
-
-def test_tokenize_label_rejects_empty():
-    with pytest.raises(SchemaError):
-        tokenize_label("")
 
 
 def test_parse_schema_basic():
@@ -107,14 +102,16 @@ def test_label_trie_paths_round_trip():
 
 def test_label_trie_children_and_leaf_flags():
     trie = LabelTrie.build(["Transfer-Ownership", "Transfer-Money", "Attack"])
-    assert trie_children(trie, ()) == frozenset(
-        [("Transfer", False), ("Attack", True)]
-    )
-    assert trie_children(trie, ("Transfer",)) == frozenset(
-        [("Ownership", True), ("Money", True)]
-    )
+
+    def children(prefix):
+        return frozenset(
+            (token, child.is_leaf) for token, child in trie.children(prefix).items()
+        )
+
+    assert children(()) == frozenset([("Transfer", False), ("Attack", True)])
+    assert children(("Transfer",)) == frozenset([("Ownership", True), ("Money", True)])
     with pytest.raises(KeyError):
-        trie_children(trie, ("Bogus",))
+        trie.children(("Bogus",))
 
 
 def test_label_trie_prefix_label_keeps_both():
@@ -142,19 +139,19 @@ def test_label_trie_empty():
 
 
 def test_build_tries_from_schema(fig_schema):
-    type_trie = build_type_trie(fig_schema)
-    assert sorted(label for _, label in type_trie.paths()) == [
+    tries = SchemaTries.from_schema(fig_schema)
+    assert sorted(label for _, label in tries.type_trie.paths()) == [
         "Arrest-Jail",
         "Transport",
     ]
-    role_tries = build_role_tries(fig_schema)
+    role_tries = tries.role_tries
     assert set(role_tries) == {"Transport", "Arrest-Jail"}
     assert dict(role_tries["Arrest-Jail"].paths()) == {
         ("Person",): "Person",
         ("Agent",): "Agent",
         ("Time",): "Time",
     }
-    empty = build_role_trie(EventSchema({"NoArgs": ()}), "NoArgs")
+    empty = SchemaTries.from_schema(EventSchema({"NoArgs": ()})).role_tries["NoArgs"]
     assert empty.is_empty
 
 
@@ -162,32 +159,30 @@ def test_schema_tries_are_built_once_per_schema(fig_schema):
     schema = EventSchema(dict(fig_schema.event_types))
     tries = schema.tries
     assert schema.tries is tries
-    assert dict(tries.type_trie.paths()) == dict(build_type_trie(schema).paths())
+    fresh = SchemaTries.from_schema(schema)
+    assert dict(tries.type_trie.paths()) == dict(fresh.type_trie.paths())
     assert {t: dict(trie.paths()) for t, trie in tries.role_tries.items()} == {
-        t: dict(trie.paths()) for t, trie in build_role_tries(schema).items()
+        t: dict(trie.paths()) for t, trie in fresh.role_tries.items()
     }
     # the cache is per object and leaves equality alone
     other = EventSchema(dict(fig_schema.event_types))
     assert other == schema and other.tries is not tries
 
 
-def test_custom_tokenizer_is_pluggable():
-    # Character-level tokenizer instead of word-level.
-    chars = lambda label: tuple(label)
-    trie = LabelTrie.build(["ab", "ac"], tokenizer=chars)
-    assert trie_children(trie, ("a",)) == frozenset([("b", True), ("c", True)])
-
-
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_schema_tries_enumerate_all_labels(seed):
     rng = random.Random(seed)
     schema = random_schema(rng, max_types=8, max_roles=4)
-    type_trie = build_type_trie(schema)
-    assert sorted(label for _, label in type_trie.paths()) == sorted(schema.types)
+    tries = SchemaTries.from_schema(schema)
+    assert sorted(label for _, label in tries.type_trie.paths()) == sorted(schema.types)
     for event_type in schema.types:
-        role_trie = build_role_trie(schema, event_type)
+        role_trie = tries.role_tries[event_type]
         assert sorted(label for _, label in role_trie.paths()) == sorted(
             schema.roles(event_type)
         )
         for path, label in role_trie.paths():
             assert path == split_label(label)
+    names = list(schema.types) + [r for t in schema.types for r in schema.roles(t)]
+    label_tokens = schema.label_tokens
+    assert label_tokens == {tok for name in names for tok in split_label(name)}
+    assert schema.label_tokens is label_tokens

@@ -9,7 +9,6 @@ from evseq import (
     TokenizedInput,
     build_span_trie,
     find_occurrences,
-    span_continuations,
     tokenize,
 )
 
@@ -70,8 +69,8 @@ def test_span_trie_repeated_token():
 def test_span_trie_children_and_continuations():
     trie = SpanTrie(("a", "b", "a"), max_span_len=2)
     assert trie.children(()) == frozenset({"a", "b"})
-    assert span_continuations(trie, ("a",)) == frozenset({"b"})
-    assert span_continuations(trie, ("a", "b")) == frozenset()
+    assert trie.children(("a",)) == frozenset({"b"})
+    assert trie.children(("a", "b")) == frozenset()
     with pytest.raises(KeyError):
         trie.children(("z",))
 
