@@ -21,7 +21,15 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Iterable, Sequence
 
-from .codec import Argument, EventRecord, Mention, linearize, to_tree
+from .codec import (
+    Argument,
+    EventRecord,
+    Mention,
+    TreeNode,
+    linearize,
+    to_tree,
+    tree_to_seq,
+)
 from .dataio import Example
 from .decoder import sequence_nll
 from .schema import EventSchema, split_label
@@ -34,7 +42,7 @@ from .scorers import (
     train_ngram,
 )
 from .span_index import TokenizedInput
-from .tokens import CLOSE, OPEN, RESERVED_TOKENS
+from .tokens import RESERVED_TOKENS
 
 Pair = tuple[TokenizedInput, Sequence[EventRecord]]
 TargetPair = tuple[TokenizedInput, tuple[str, ...]]
@@ -70,17 +78,9 @@ def extract_substructures(
     """
     if mode not in ("concatenated", "per_unit"):
         raise ValueError(f"unknown substructure mode {mode!r}")
-    rendered = [
-        (OPEN, *split_label(label), *span, CLOSE)
-        for label, span in substructure_units(records)
-    ]
-    if mode == "per_unit":
-        return [(inp, (OPEN, *unit, CLOSE)) for unit in rendered]
-    body: list[str] = [OPEN]
-    for unit in rendered:
-        body.extend(unit)
-    body.append(CLOSE)
-    return [(inp, tuple(body))]
+    units = tuple(TreeNode(label, span) for label, span in substructure_units(records))
+    groups = [(unit,) for unit in units] if mode == "per_unit" else [units]
+    return [(inp, tree_to_seq(TreeNode(None, (), group))) for group in groups]
 
 
 DEFAULT_WORDS = (

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from math import inf, log
 from typing import Mapping, Protocol, Sequence
 
 from .schema import EventSchema, LabelTrie, SchemaTries
@@ -52,7 +53,9 @@ class Scorer(Protocol):
     ``prefix`` always starts with the BOS sentinel.  The returned mapping
     assigns a probability to every token the scorer considers possible;
     absent tokens are treated as probability zero.  Distributions must
-    be non-negative, finite, and sum to 1 within tolerance.
+    be non-negative, finite, and sum to 1 within tolerance.  The mapping
+    is read-only to the caller and may be shared between calls, so a
+    scorer can return one memoized dict for many prefixes.
     """
 
     def next_distribution(
@@ -184,59 +187,43 @@ def _advance(state: DecodeState, token: str, tries: SchemaTries) -> DecodeState:
     from ``candidate_vocab`` itself."""
     tokens = state.tokens + (token,)
     phase = state.phase
+    label, span, current = state.partial_label, state.partial_span, state.current_type
 
     if phase is Phase.AWAIT_ROOT:
-        return replace(state, tokens=tokens, depth=1, phase=Phase.AWAIT_EVENT)
+        return DecodeState(tokens, 1, Phase.AWAIT_EVENT, label, span, current)
 
     if phase is Phase.AWAIT_EVENT:
         if token == OPEN:
-            return replace(
-                state, tokens=tokens, depth=2, phase=Phase.IN_TYPE_LABEL,
-                partial_label=(),
-            )
-        return replace(state, tokens=tokens, depth=0, phase=Phase.AWAIT_END)
+            return DecodeState(tokens, 2, Phase.IN_TYPE_LABEL, (), span, current)
+        return DecodeState(tokens, 0, Phase.AWAIT_END, label, span, current)
 
     if phase is Phase.IN_TYPE_LABEL:
         return _label_step(state, token, tokens, tries.type_trie, Phase.IN_TRIGGER_SPAN)
 
     if phase is Phase.IN_TRIGGER_SPAN:
         if token == OPEN:
-            return replace(
-                state, tokens=tokens, depth=3, phase=Phase.IN_ROLE_LABEL,
-                partial_label=(), partial_span=(),
-            )
+            return DecodeState(tokens, 3, Phase.IN_ROLE_LABEL, (), (), current)
         if token == CLOSE:
-            return replace(
-                state, tokens=tokens, depth=1, phase=Phase.AWAIT_EVENT,
-                partial_span=(), current_type=None,
-            )
-        return replace(state, tokens=tokens, partial_span=state.partial_span + (token,))
+            return DecodeState(tokens, 1, Phase.AWAIT_EVENT, label, (), None)
+        return DecodeState(tokens, state.depth, phase, label, span + (token,), current)
 
     if phase is Phase.AWAIT_ARG:
         if token == OPEN:
-            return replace(
-                state, tokens=tokens, depth=3, phase=Phase.IN_ROLE_LABEL,
-                partial_label=(),
-            )
-        return replace(
-            state, tokens=tokens, depth=1, phase=Phase.AWAIT_EVENT,
-            current_type=None,
-        )
+            return DecodeState(tokens, 3, Phase.IN_ROLE_LABEL, (), span, current)
+        return DecodeState(tokens, 1, Phase.AWAIT_EVENT, label, span, None)
 
     if phase is Phase.IN_ROLE_LABEL:
-        trie = tries.role_tries[state.current_type]
+        trie = tries.role_tries[current]
         return _label_step(state, token, tokens, trie, Phase.IN_ARG_SPAN)
 
     if phase is Phase.IN_ARG_SPAN:
         if token == CLOSE:
-            return replace(
-                state, tokens=tokens, depth=2, phase=Phase.AWAIT_ARG, partial_span=(),
-            )
-        return replace(state, tokens=tokens, partial_span=state.partial_span + (token,))
+            return DecodeState(tokens, 2, Phase.AWAIT_ARG, label, (), current)
+        return DecodeState(tokens, state.depth, phase, label, span + (token,), current)
 
     assert phase is Phase.AWAIT_END
     # the end sentinel is not part of the linearized body
-    return replace(state, phase=Phase.DONE)
+    return DecodeState(state.tokens, state.depth, Phase.DONE, label, span, current)
 
 
 def _label_step(
@@ -248,28 +235,18 @@ def _label_step(
 ) -> DecodeState:
     node = trie.node(state.partial_label)
     child = node.children.get(token)
+    in_type = state.phase is Phase.IN_TYPE_LABEL
     if child is not None:
-        committed = child.is_leaf and not child.children
-        if committed and state.phase is Phase.IN_TYPE_LABEL:
-            return replace(
-                state, tokens=tokens, phase=span_phase, partial_label=(),
-                partial_span=(), current_type=child.label,
-            )
-        if committed:
-            return replace(
-                state, tokens=tokens, phase=span_phase, partial_label=(),
-                partial_span=(),
-            )
-        return replace(state, tokens=tokens, partial_label=state.partial_label + (token,))
-    # token opens the mention; commit the label completed at this node
-    if state.phase is Phase.IN_TYPE_LABEL:
-        return replace(
-            state, tokens=tokens, phase=span_phase, partial_label=(),
-            partial_span=(token,), current_type=node.label,
+        if child.is_leaf and not child.children:
+            current = child.label if in_type else state.current_type
+            return DecodeState(tokens, state.depth, span_phase, (), (), current)
+        return DecodeState(
+            tokens, state.depth, state.phase, state.partial_label + (token,),
+            state.partial_span, state.current_type,
         )
-    return replace(
-        state, tokens=tokens, phase=span_phase, partial_label=(), partial_span=(token,),
-    )
+    # token opens the mention; commit the label completed at this node
+    current = node.label if in_type else state.current_type
+    return DecodeState(tokens, state.depth, span_phase, (), (token,), current)
 
 
 @dataclass(frozen=True)
@@ -297,10 +274,6 @@ def _checked_prob(dist: Mapping[str, float], token: str) -> float:
     if math.isnan(p) or math.isinf(p) or p < 0.0:
         raise DecodeError(f"scorer produced a non-finite or negative score for {token!r}: {p}")
     return p
-
-
-def _log(p: float) -> float:
-    return math.log(p) if p > 0.0 else float("-inf")
 
 
 def constrained_decode(
@@ -351,9 +324,15 @@ def _greedy(
                 f"no end sentinel within max_length={config.max_length} tokens"
             )
         dist = scorer.next_distribution(inp, tuple(prefix))
-        cands = candidate_vocab(state, tries, span_trie)
-        chosen = min(cands, key=lambda t: (-_checked_prob(dist, t), t))
-        logprobs.append(_log(_checked_prob(dist, chosen)))
+        # the smallest (-p, token), checking every candidate in set order
+        chosen, best = None, -1.0
+        for token in candidate_vocab(state, tries, span_trie):
+            p = dist.get(token, 0.0)
+            if not 0.0 <= p < inf:  # also false for NaN
+                _checked_prob(dist, token)  # raises, naming the token
+            if p > best or (p == best and token < chosen):
+                chosen, best = token, p
+        logprobs.append(log(best) if best > 0.0 else -inf)
         state = _advance(state, chosen, tries)
         prefix.append(chosen)
     return DecodeResult(state.tokens, tuple(logprobs))
@@ -374,7 +353,8 @@ def _greedy_unconstrained(
         if not dist:
             raise DecodeError("scorer returned an empty distribution")
         chosen = min(dist, key=lambda t: (-_checked_prob(dist, t), t))
-        logprobs.append(_log(_checked_prob(dist, chosen)))
+        p = _checked_prob(dist, chosen)
+        logprobs.append(log(p) if p > 0.0 else -inf)
         prefix.append(chosen)
         if chosen == EOS:
             return DecodeResult(tuple(prefix[1:-1]), tuple(logprobs))
@@ -413,9 +393,13 @@ def _beam(
         scored = []
         for i, hyp in enumerate(live):
             dist = scorer.next_distribution(inp, hyp.prefix)
+            score, prefix = hyp.score, hyp.prefix
             for token in candidate_vocab(hyp.state, tries, span_trie):
-                lp = _log(_checked_prob(dist, token))
-                scored.append((-(hyp.score + lp), hyp.prefix, token, i, lp))
+                p = dist.get(token, 0.0)
+                if not 0.0 <= p < inf:  # also false for NaN
+                    _checked_prob(dist, token)  # raises, naming the token
+                lp = log(p) if p > 0.0 else -inf
+                scored.append((-(score + lp), prefix, token, i, lp))
         parents = live
         live = []
         for neg_score, prefix, token, i, lp in heapq.nsmallest(config.beam_width, scored):

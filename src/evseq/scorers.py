@@ -69,12 +69,12 @@ class OracleScorer:
         i = len(prefix)
         on_target = i < len(self.stream) and tuple(prefix) == self.stream[:i]
         if not on_target:
-            return {token: 1.0 / len(self.vocab) for token in self.vocab}
+            return dict.fromkeys(self.vocab, 1.0 / len(self.vocab))
         target_token = self.stream[i]
         if len(self.vocab) == 1:
             return {target_token: 1.0}
         rest = self.epsilon / (len(self.vocab) - 1)
-        dist = {token: rest for token in self.vocab}
+        dist = dict.fromkeys(self.vocab, rest)
         dist[target_token] = 1.0 - self.epsilon
         return dist
 
@@ -125,7 +125,9 @@ class NgramScorer:
     context with any counts, backing off one order at a time down to the
     unigram table.  Scores are (count + α), multiplied by ``copy_boost``
     for tokens present in the current input sentence, then normalized
-    over the training vocabulary extended with the input tokens.
+    over the training vocabulary extended with the input tokens.  For
+    the input queried last, each backoff table's distribution is built
+    once and then returned again as the same dict.
     """
 
     def __init__(
@@ -149,8 +151,10 @@ class NgramScorer:
         # extra_vocab admits tokens never seen in training (smoothing
         # still gives them mass), e.g. label tokens of a schema
         self.vocab = frozenset(counts.get(1, {}).get((), {})) | frozenset(extra_vocab)
-        # (input token set, its support) for the input decoded last
-        self._support_cache: tuple[frozenset[str], list[tuple[str, bool]]] | None = None
+        # (input token set, its support, its memo) for the input decoded
+        # last; the memo maps id(table) to (table, normalized dict), the
+        # table kept so that its id cannot be reused
+        self._support_cache: tuple[frozenset[str], list, dict] | None = None
 
     def _table(self, prefix: Sequence[str]) -> Mapping[str, int]:
         k = min(self.order, len(prefix) + 1)
@@ -162,29 +166,41 @@ class NgramScorer:
             k -= 1
         return self.counts.get(1, {}).get((), {})
 
-    def _support(self, input_tokens: frozenset[str]) -> list[tuple[str, bool]]:
+    def _support(self, input_tokens: frozenset[str]) -> tuple[list, dict]:
         """Sorted ``vocab | input_tokens``, each token flagged when it is
-        an input token; kept for the last input token set seen, since a
-        decode asks for one input many times in a row."""
+        an input token, and the memo of distributions for that input;
+        kept for the last input token set seen, since a decode asks for
+        one input many times in a row."""
         cached = self._support_cache
-        if cached is None or cached[0] != input_tokens:
+        if cached is None or (
+            cached[0] is not input_tokens and cached[0] != input_tokens
+        ):
             support = [(t, t in input_tokens) for t in sorted(self.vocab | input_tokens)]
-            cached = self._support_cache = (input_tokens, support)
-        return cached[1]
+            cached = self._support_cache = (input_tokens, support, {})
+        return cached[1], cached[2]
 
     def next_distribution(
         self, inp: TokenizedInput, prefix: Sequence[str]
     ) -> Mapping[str, float]:
+        """The distribution after ``prefix``; every prefix that backs off
+        to the same table gets the same dict object, so callers must not
+        modify it."""
         table = self._table(prefix)
+        support, memo = self._support(inp.token_set)
+        hit = memo.get(id(table))
+        if hit is not None:
+            return hit[1]
         scores = {}
         total = 0.0
-        for token, copied in self._support(inp.token_set):
+        for token, copied in support:
             s = table.get(token, 0) + self.alpha
             if copied:
                 s *= self.copy_boost
             scores[token] = s
             total += s
-        return {token: s / total for token, s in scores.items()}
+        dist = {token: s / total for token, s in scores.items()}
+        memo[id(table)] = (table, dist)
+        return dist
 
 
 def count_ngrams(targets: Iterable[Sequence[str]], n: int) -> Counts:

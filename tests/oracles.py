@@ -308,3 +308,29 @@ def reference_beam(
         )
     best = min(completed, key=lambda h: (-h.score, h.prefix))
     return DecodeResult(best.state.tokens, best.logprobs)
+
+
+def reference_greedy(
+    scorer, inp: TokenizedInput, schema: EventSchema, config: DecodeConfig
+) -> DecodeResult:
+    """Greedy search as specified: at every step the legal token with the
+    smallest (-probability, token), every candidate checked in set order
+    before one is chosen.  Raises TruncationError at ``max_length``.
+    """
+    tries = SchemaTries.from_schema(schema)
+    span_trie = build_span_trie(inp)
+    state = DecodeState()
+    prefix = [BOS]
+    logprobs: list[float] = []
+    while not state.done:
+        if len(prefix) >= config.max_length:
+            raise TruncationError(
+                f"no end sentinel within max_length={config.max_length} tokens"
+            )
+        dist = scorer.next_distribution(inp, tuple(prefix))
+        cands = candidate_vocab(state, tries, span_trie)
+        chosen = min(cands, key=lambda t: (-_checked_prob(dist, t), t))
+        logprobs.append(_log(_checked_prob(dist, chosen)))
+        state = step(state, chosen, tries, span_trie)
+        prefix.append(chosen)
+    return DecodeResult(state.tokens, tuple(logprobs))

@@ -1,5 +1,6 @@
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,12 @@ from evseq import (
 )
 from evseq.decoder import BatchDecodeError
 
-from oracles import enumerate_language, random_schema, reference_beam
+from oracles import (
+    enumerate_language,
+    random_schema,
+    reference_beam,
+    reference_greedy,
+)
 
 
 def replay(tokens, schema, inp, max_span_len=16):
@@ -535,6 +541,151 @@ def test_beam_equals_reference_search(seed, kind, width, max_length):
     got = _decode_or_truncate(lambda: constrained_decode(scorer, inp, schema, config))
     want = _decode_or_truncate(lambda: reference_beam(scorer, inp, schema, config))
     assert got == want  # tokens and logprobs, floats compared with ==
+
+
+class TiedScorer:
+    """A random scorer rounded to a few levels, -0.0 among them, so most
+    steps offer ties."""
+
+    def __init__(self, vocab, seed):
+        self.base = RandomScorer(vocab, seed)
+
+    def next_distribution(self, inp, prefix):
+        dist = self.base.next_distribution(inp, prefix)
+        n = len(dist)
+        return {t: -0.0 if p * n < 0.7 else round(p * n) / n for t, p in dist.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    kind=st.sampled_from(
+        ["random", "uniform", "empty", "gappy", "tied", "noisy-oracle"]
+    ),
+    max_length=st.integers(min_value=4, max_value=30),
+)
+def test_greedy_equals_reference_greedy(seed, kind, max_length):
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        schema = PREFIX_SCHEMA
+    else:
+        schema = random_schema(rng, max_types=4, max_roles=3)
+    pool = ["x", "y", "z", *(t for name in schema.types for t in split_label(name))]
+    inp = TokenizedInput.from_tokens([rng.choice(pool) for _ in range(rng.randint(0, 5))])
+    vocab = decoding_vocab(schema, inp)
+    scorer = {
+        "random": lambda: RandomScorer(vocab, seed),
+        "uniform": lambda: UniformScorer(vocab),
+        "empty": EmptyScorer,
+        "gappy": lambda: GappyScorer(vocab, seed),
+        "tied": lambda: TiedScorer(vocab, seed),
+        "noisy-oracle": lambda: oracle_scorer(
+            random_walk(rng, schema, inp, rng.randint(2, max_length)),
+            rng.choice((0.05, 0.3, 0.6)),
+            vocab,
+        ),
+    }[kind]()
+    config = DecodeConfig(max_length=max_length)
+    got = _decode_or_truncate(lambda: constrained_decode(scorer, inp, schema, config))
+    want = _decode_or_truncate(lambda: reference_greedy(scorer, inp, schema, config))
+    assert got == want  # tokens and logprobs, floats compared with ==
+
+
+# ------------------------------------------------------------ scorer contract
+
+THREE_TYPES = parse_schema("A: R\nB: R\nC: R")
+
+
+class LateBadScorer:
+    """Opens an event, then puts ``value`` on the ``bad`` type labels next
+    to a good "A"."""
+
+    def __init__(self, value, bad):
+        self.value, self.bad = value, bad
+
+    def next_distribution(self, inp, prefix):
+        if len(prefix) < 3:
+            return {OPEN: 1.0}
+        return {"A": 0.9, "C": 0.1, **dict.fromkeys(self.bad, self.value)}
+
+
+@pytest.mark.parametrize("mode", ["greedy", "beam"])
+@pytest.mark.parametrize("value", [float("nan"), math.inf, -math.inf, -0.25])
+@pytest.mark.parametrize("bad", [("B",), ("B", "C")])
+def test_bad_value_on_a_later_non_chosen_token_names_it(mode, value, bad):
+    inp = TokenizedInput.from_tokens(["x"])
+    config = DecodeConfig(mode=mode, beam_width=2)
+    state, tries, span_trie = replay((OPEN, OPEN), THREE_TYPES, inp)
+    first_bad = next(t for t in candidate_vocab(state, tries, span_trie) if t in bad)
+    with pytest.raises(DecodeError, match=f"for {first_bad!r}: "):
+        constrained_decode(LateBadScorer(value, bad), inp, THREE_TYPES, config)
+
+
+class SecondStepScorer:
+    """Forces "(", then returns ``second`` at the second step, then walks
+    "T tok ) )" to the end."""
+
+    def __init__(self, second):
+        self.second = second
+
+    def next_distribution(self, inp, prefix):
+        if len(prefix) == 1:
+            return {OPEN: 1.0}
+        if len(prefix) == 2:
+            return self.second
+        return {CLOSE: 0.5, "T": 0.5, "tok": 0.5, EOS: 1.0}
+
+
+@pytest.mark.parametrize("mode", ["greedy", "beam"])
+def test_negative_zero_and_absent_tokens_are_probability_zero(tiny_schema, mode):
+    inp = TokenizedInput.from_tokens(["tok"])
+    config = DecodeConfig(mode=mode, beam_width=2, max_length=24)
+    results = [
+        constrained_decode(SecondStepScorer(second), inp, tiny_schema, config)
+        for second in (
+            {OPEN: 0.0, CLOSE: 0.0},
+            {OPEN: -0.0},
+            {OPEN: -0.0, CLOSE: 0.0},
+            {OPEN: 0.0, CLOSE: -0.0},
+            {},
+        )
+    ]
+    assert all(r == results[0] for r in results)
+    assert results[0].logprobs[1] == -math.inf
+
+
+class ReadOnlyScorer:
+    """Wraps every distribution in a read-only view."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def next_distribution(self, inp, prefix):
+        return types.MappingProxyType(self.base.next_distribution(inp, prefix))
+
+
+def test_decoding_never_writes_to_a_distribution(fig_schema, fig_input, fig_seq):
+    vocab = decoding_vocab(fig_schema, fig_input)
+    for base in (
+        train_ngram([(fig_input, fig_seq)], n=3, extra_vocab=vocab),
+        oracle_scorer(fig_seq, 0.1, vocab),
+        UniformScorer(vocab),
+        RandomScorer(vocab, 7),
+    ):
+        for config in (
+            DecodeConfig(max_length=64),
+            DecodeConfig(mode="beam", beam_width=4, max_length=64),
+            DecodeConfig(max_length=64, constrained=False),
+        ):
+            got, want = (
+                _decode_or_truncate(
+                    lambda: constrained_decode(one, fig_input, fig_schema, config)
+                )
+                for one in (ReadOnlyScorer(base), base)
+            )
+            assert got == want
+        nll = sequence_nll(ReadOnlyScorer(base), fig_input, fig_seq)
+        assert nll == sequence_nll(base, fig_input, fig_seq)
 
 
 # --------------------------------------------------------------------- batch

@@ -3,12 +3,17 @@ import math
 import pytest
 
 from evseq import (
+    DecodeConfig,
     NgramScorer,
     OracleScorer,
     RandomScorer,
     TokenizedInput,
+    TruncationError,
     UniformScorer,
+    constrained_decode,
     decoding_vocab,
+    generate_synthetic,
+    linearize,
     load_scorer,
     oracle_scorer,
     parse_schema,
@@ -194,6 +199,72 @@ def test_ngram_input_cache_follows_token_set_value():
         for prefix in (("<bos>",), ("<bos>", "a")):
             want = fresh.next_distribution(inp, prefix)
             assert scorer.next_distribution(inp, prefix) == want
+
+
+MEMO_CORPUS = [(EMPTY, ("a", "b", "c")), (EMPTY, ("a", "c"))]
+# the last two back off to the unigram table: "zzz" was never seen
+MEMO_PREFIXES = [
+    ("<bos>",),
+    ("<bos>", "a"),
+    ("<bos>", "a", "b"),
+    ("<bos>", "zzz"),
+    ("<bos>", "a", "zzz"),
+]
+
+
+def test_ngram_memo_equals_a_fresh_scorer_on_interleaved_inputs():
+    first = TokenizedInput.from_tokens(["b", "x"])
+    same_set = TokenizedInput.from_tokens(["x", "b", "x"])
+    other = TokenizedInput.from_tokens(["c"])
+    scorer = train_ngram(MEMO_CORPUS, n=3)
+    for inp in (first, same_set, other, first, EMPTY, other, same_set):
+        for prefix in MEMO_PREFIXES + MEMO_PREFIXES[::-1]:
+            want = train_ngram(MEMO_CORPUS, n=3).next_distribution(inp, prefix)
+            got = scorer.next_distribution(inp, prefix)
+            assert got == want and list(got) == list(want)
+        unigram = scorer.next_distribution(inp, ("<bos>", "zzz"))
+        assert scorer.next_distribution(inp, ("<bos>", "a", "zzz")) is unigram
+
+
+def test_ngram_repeat_query_returns_the_same_object():
+    scorer = train_ngram(MEMO_CORPUS, n=3)
+    inp = TokenizedInput.from_tokens(["b", "x"])
+    dist = scorer.next_distribution(inp, ("<bos>", "a"))
+    assert scorer.next_distribution(inp, ("<bos>", "a")) is dist
+    same_set = TokenizedInput.from_tokens(["x", "b"])
+    assert scorer.next_distribution(same_set, ("<bos>", "a")) is dist
+    other = TokenizedInput.from_tokens(["c"])
+    assert scorer.next_distribution(other, ("<bos>", "a")) is not dist
+
+
+class FreshNgram:
+    """Builds a new, empty-memo scorer from the same counts for every call."""
+
+    def __init__(self, trained):
+        self.trained = trained
+
+    def next_distribution(self, inp, prefix):
+        t = self.trained
+        fresh = NgramScorer(t.order, t.counts, t.alpha, t.copy_boost, t.vocab)
+        return fresh.next_distribution(inp, prefix)
+
+
+def test_ngram_memo_decodes_like_fresh_scorers(fig_schema):
+    examples = generate_synthetic(fig_schema, seed=5, n_sentences=60)
+    pairs = [(ex.inp, linearize(ex.records)) for ex in examples]
+    scorer = train_ngram(pairs[:40], n=3, extra_vocab=fig_schema.label_tokens)
+    config = DecodeConfig(max_length=64)
+    finished = 0
+    for ex in examples[40:]:
+        outcomes = []
+        for one in (scorer, FreshNgram(scorer)):
+            try:
+                outcomes.append(constrained_decode(one, ex.inp, fig_schema, config))
+            except TruncationError:
+                outcomes.append("truncated")
+        assert outcomes[0] == outcomes[1]  # tokens and logprobs, with ==
+        finished += outcomes[0] != "truncated"
+    assert finished > 0
 
 
 def test_ngram_extra_vocab_gets_smoothing_mass():
