@@ -1,18 +1,27 @@
 """Grammar-constrained decoding over the parenthesized event format.
 
 A pushdown automaton tracks where in the event grammar the generated
-prefix sits.  At each step the legal next tokens are computed from the
-automaton phase, the schema label tries, and the span trie of the input
-sentence; the scorer's distribution is consulted only on those tokens,
-so any scorer (even an adversarial one) yields a sequence that parses,
-names only schema labels, and copies mentions verbatim from the input.
+prefix sits.  Its legal next tokens come from the automaton phase, the
+schema label tries, and the span trie of the input sentence; the
+scorer's distribution is consulted only on those tokens, so any scorer
+(even an adversarial one) yields a sequence that parses, names only
+schema labels, and copies mentions verbatim from the input.
 
 Candidate probabilities are the scorer's raw values: masking never
 renormalizes, and scores accumulate in log domain.
 
 The schema's label tries are compiled once per schema object
 (``EventSchema.tries``) and shared by every sentence; only the span trie
-is built per input.  Beam search scores before it advances: each live
+is built per input.  Each decode then compiles the automaton lazily, a
+state→allowed-token index in the manner of Willard & Louf (2023): a
+state holds its phase, its trie node, its legal tokens as a frozenset
+built once, and a token→next-state table filled on first use.  States
+are interned on the identities of their phase and trie node, so a
+decode that comes back to a grammar state (every new argument of one
+event type, say) steps by one dict lookup.  Greedy and beam search walk
+these states and keep only the emitted prefix themselves;
+``DecodeState``, ``candidate_vocab`` and ``step`` are views on the same
+automaton.  Beam search scores before it advances: each live
 hypothesis keeps a running score, every legal token is scored as that
 score plus its log-probability, and the automaton is stepped only for
 the ``beam_width`` survivors.  Greedy search is kept separate from beam
@@ -26,10 +35,12 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from math import inf, log
+from operator import add
 from typing import Mapping, Protocol, Sequence
 
-from .schema import EventSchema, LabelTrie, SchemaTries
+from .schema import EventSchema, SchemaTries
 from .span_index import (
     DEFAULT_MAX_SPAN_LEN,
     SpanTrie,
@@ -75,6 +86,18 @@ class Phase(Enum):
     DONE = "done"
 
 
+# The phases as module globals for the automaton's compiler: reading an
+# attribute of an Enum class runs Python code (about 150 ns a read on
+# Python 3.11), reading a module global does not.
+_AWAIT_ROOT, _AWAIT_EVENT, _IN_TYPE_LABEL, _IN_TRIGGER_SPAN, _AWAIT_ARG = (
+    Phase.AWAIT_ROOT, Phase.AWAIT_EVENT, Phase.IN_TYPE_LABEL, Phase.IN_TRIGGER_SPAN,
+    Phase.AWAIT_ARG,
+)
+_IN_ROLE_LABEL, _IN_ARG_SPAN, _AWAIT_END, _DONE = (
+    Phase.IN_ROLE_LABEL, Phase.IN_ARG_SPAN, Phase.AWAIT_END, Phase.DONE,
+)
+
+
 @dataclass(frozen=True)
 class DecodeState:
     """Immutable automaton state after consuming a token prefix.
@@ -82,7 +105,9 @@ class DecodeState:
     ``tokens`` holds the emitted sequence without sentinels.  While a
     label or mention is being spelled out, ``partial_label`` or
     ``partial_span`` holds the tokens of the unfinished unit; both are
-    always valid trie paths.
+    always valid trie paths.  States come from ``DecodeState()`` and
+    ``step``; ``candidate_vocab`` and ``step`` reject one whose fields
+    are not those its tokens lead to.
     """
 
     tokens: tuple[str, ...] = ()
@@ -113,6 +138,180 @@ class DecodeConfig:
             raise ValueError("max_length must be >= 4 (shortest legal output)")
 
 
+class _State:
+    """One automaton state, interned per decode.
+
+    It holds the ``DecodeState`` fields other than ``tokens``, the trie
+    node being walked (a label-trie node while a label is spelled out, a
+    span-trie node while a mention is), its legal next tokens, built
+    once, and ``next``, the transitions taken so far by token.
+    """
+
+    __slots__ = ("phase", "depth", "label", "span", "current", "node", "legal", "next")
+
+    def __init__(self, phase, depth, label, span, current, node, legal):
+        self.phase = phase
+        self.depth = depth
+        self.label = label
+        self.span = span
+        self.current = current
+        self.node = node
+        self.legal = legal  # None once generation has ended
+        self.next: dict[str, _State] = {}
+
+    def as_view(self, tokens: tuple[str, ...]) -> DecodeState:
+        return DecodeState(tokens, self.depth, self.phase, self.label, self.span, self.current)
+
+
+class _Automaton:
+    """The decoding grammar of one (schema tries, span trie) pair.
+
+    States are compiled on first use and interned on the identities of
+    their phase and trie node, and on their event type, which together
+    fix the rest of a state; a decode that comes back to a grammar state
+    reuses its legal set and transitions.  The grammar's rules are
+    written here once: ``_legal`` for the legal tokens of a state and
+    ``advance`` for its transitions.
+    """
+
+    def __init__(self, tries: SchemaTries, span_trie: SpanTrie):
+        self.tries = tries
+        self.span_trie = span_trie
+        self.span_root = span_trie.node(())
+        self._states: dict[tuple, _State] = {}
+        self.start = self._state(_AWAIT_ROOT, 0)
+        self.end = self._state(_DONE, 0)
+
+    def _state(self, phase, depth, node=None, current=None, label=(), span=()) -> _State:
+        # ids, not the Phase member: an Enum member hashes in Python code
+        key = (id(phase), id(node), current)
+        state = self._states.get(key)
+        if state is None:
+            legal = self._legal(phase, node, span, current)
+            state = self._states[key] = _State(phase, depth, label, span, current, node, legal)
+        return state
+
+    def _legal(self, phase, node, span, current) -> frozenset[str] | None:
+        """The tokens legal in a state (see ``candidate_vocab``)."""
+        if phase is _DONE:
+            return None
+        if phase is _AWAIT_ROOT:
+            return frozenset({OPEN})
+        if phase is _AWAIT_EVENT:
+            cands = {CLOSE}
+            if not self.span_trie.is_empty:
+                cands.add(OPEN)
+            return frozenset(cands)
+        if phase is _IN_TYPE_LABEL or phase is _IN_ROLE_LABEL:
+            cands = set(node.children)
+            if node.is_leaf:
+                # label may end here; the mention starts
+                cands |= self.span_trie.children(())
+            return frozenset(cands)
+        if phase is _IN_TRIGGER_SPAN:
+            cands = set(self.span_trie.children(span))
+            if span:
+                cands.add(CLOSE)
+                if not self.tries.role_tries[current].is_empty:
+                    cands.add(OPEN)
+            return frozenset(cands)
+        if phase is _AWAIT_ARG:
+            return frozenset({OPEN, CLOSE})
+        if phase is _IN_ARG_SPAN:
+            cands = set(self.span_trie.children(span))
+            if span:
+                cands.add(CLOSE)
+            return frozenset(cands)
+        assert phase is _AWAIT_END
+        return frozenset({EOS})
+
+    def advance(self, state: _State, token: str) -> _State:
+        """The state after ``token``, which must be legal in ``state``
+        (label commitment as described in ``step``); computed once, then
+        kept in ``state.next``."""
+        phase, depth, current = state.phase, state.depth, state.current
+        if phase is _IN_TYPE_LABEL or phase is _IN_ROLE_LABEL:
+            in_type = phase is _IN_TYPE_LABEL
+            span_phase = _IN_TRIGGER_SPAN if in_type else _IN_ARG_SPAN
+            node = state.node
+            child = node.children.get(token)
+            if child is None:
+                # token opens the mention; commit the label completed here
+                if in_type:
+                    current = node.label
+                nxt = self._state(span_phase, depth, self.span_root[token], current, span=(token,))
+            elif child.is_leaf and not child.children:
+                if in_type:
+                    current = child.label
+                nxt = self._state(span_phase, depth, self.span_root, current)
+            else:
+                nxt = self._state(phase, depth, child, current, label=state.label + (token,))
+        elif phase is _AWAIT_ROOT:
+            nxt = self._state(_AWAIT_EVENT, 1)
+        elif token == OPEN:
+            if phase is _AWAIT_EVENT:  # an event
+                nxt = self._state(_IN_TYPE_LABEL, 2, self.tries.type_trie.root)
+            else:  # an argument, after the trigger or another argument
+                nxt = self._state(_IN_ROLE_LABEL, 3, self.tries.role_tries[current].root, current)
+        elif token == CLOSE:
+            if phase is _AWAIT_EVENT:  # the root
+                nxt = self._state(_AWAIT_END, 0)
+            elif phase is _IN_ARG_SPAN:  # an argument
+                nxt = self._state(_AWAIT_ARG, 2, None, current)
+            else:  # an event, after its trigger or its last argument
+                nxt = self._state(_AWAIT_EVENT, 1)
+        elif phase is _AWAIT_END:
+            nxt = self.end
+        else:  # the next token of a mention
+            nxt = self._state(phase, depth, state.node[token], current, span=state.span + (token,))
+        state.next[token] = nxt
+        return nxt
+
+    def clear(self) -> None:
+        """Drop every transition.  Transitions link states in cycles,
+        which reference counting cannot free; a decode clears its
+        automaton when it ends, so that the cyclic garbage collector
+        does not have to."""
+        for state in self._states.values():
+            state.next.clear()
+
+
+def _view(
+    state: DecodeState, tries: SchemaTries, span_trie: SpanTrie
+) -> tuple[_Automaton, _State]:
+    """The automaton of ``tries`` and ``span_trie``, and its state that
+    ``state`` is a view of.
+
+    A ``DecodeState`` carries the pair outside its fields (so equality
+    and repr ignore it), and a walk from ``DecodeState()`` through
+    ``step`` compiles one automaton.  A state that carries no pair for
+    this ``tries`` and ``span_trie`` is located by replaying its tokens
+    on a new automaton, and rejected unless its fields are those of the
+    state they reach.
+    """
+    bound = getattr(state, "_view", None)
+    if bound is not None and bound[0].tries is tries and bound[0].span_trie is span_trie:
+        return bound
+    automaton = _Automaton(tries, span_trie)
+    here = automaton.start
+    # the end sentinel is not kept in tokens
+    for token in (state.tokens + (EOS,)) if state.done else state.tokens:
+        if here.legal is None or token not in here.legal:
+            raise DecodeError(f"{state!r} is not a state its tokens lead to")
+        here = here.next.get(token) or automaton.advance(here, token)
+    if here.as_view(state.tokens) != state:
+        raise DecodeError(f"{state!r} is not a state its tokens lead to")
+    bound = (automaton, here)
+    object.__setattr__(state, "_view", bound)
+    return bound
+
+
+def _legal(state: _State) -> frozenset[str]:
+    if state.legal is None:
+        raise DecodeError("generation has ended; no candidates remain")
+    return state.legal
+
+
 def candidate_vocab(
     state: DecodeState, tries: SchemaTries, span_trie: SpanTrie
 ) -> frozenset[str]:
@@ -122,45 +321,7 @@ def candidate_vocab(
     input supports at least one span, and arguments are only opened for
     event types that permit at least one role.
     """
-    phase = state.phase
-    if phase is Phase.DONE:
-        raise DecodeError("generation has ended; no candidates remain")
-    if phase is Phase.AWAIT_ROOT:
-        return frozenset({OPEN})
-    if phase is Phase.AWAIT_EVENT:
-        cands = {CLOSE}
-        if not span_trie.is_empty:
-            cands.add(OPEN)
-        return frozenset(cands)
-    if phase is Phase.IN_TYPE_LABEL:
-        node = tries.type_trie.node(state.partial_label)
-        cands = set(node.children)
-        if node.is_leaf:
-            # label may end here; the trigger mention starts
-            cands |= span_trie.children(())
-        return frozenset(cands)
-    if phase is Phase.IN_TRIGGER_SPAN:
-        cands = set(span_trie.children(state.partial_span))
-        if state.partial_span:
-            cands.add(CLOSE)
-            if not tries.role_tries[state.current_type].is_empty:
-                cands.add(OPEN)
-        return frozenset(cands)
-    if phase is Phase.AWAIT_ARG:
-        return frozenset({OPEN, CLOSE})
-    if phase is Phase.IN_ROLE_LABEL:
-        node = tries.role_tries[state.current_type].node(state.partial_label)
-        cands = set(node.children)
-        if node.is_leaf:
-            cands |= span_trie.children(())
-        return frozenset(cands)
-    if phase is Phase.IN_ARG_SPAN:
-        cands = set(span_trie.children(state.partial_span))
-        if state.partial_span:
-            cands.add(CLOSE)
-        return frozenset(cands)
-    assert phase is Phase.AWAIT_END
-    return frozenset({EOS})
+    return _legal(_view(state, tries, span_trie)[1])
 
 
 def step(
@@ -174,79 +335,18 @@ def step(
     token takes over.  This mirrors how ``delinearize`` reads sequences
     back, so decoder and parser always agree on label boundaries.
     """
-    if token not in candidate_vocab(state, tries, span_trie):
+    automaton, here = _view(state, tries, span_trie)
+    if token not in _legal(here):
         raise DecodeError(
             f"token {token!r} is not in the candidate vocabulary "
             f"(phase {state.phase.value}, depth {state.depth})"
         )
-    return _advance(state, token, tries)
-
-
-def _advance(state: DecodeState, token: str, tries: SchemaTries) -> DecodeState:
-    """``step`` without the legality check, for tokens the decoder drew
-    from ``candidate_vocab`` itself."""
-    tokens = state.tokens + (token,)
-    phase = state.phase
-    label, span, current = state.partial_label, state.partial_span, state.current_type
-
-    if phase is Phase.AWAIT_ROOT:
-        return DecodeState(tokens, 1, Phase.AWAIT_EVENT, label, span, current)
-
-    if phase is Phase.AWAIT_EVENT:
-        if token == OPEN:
-            return DecodeState(tokens, 2, Phase.IN_TYPE_LABEL, (), span, current)
-        return DecodeState(tokens, 0, Phase.AWAIT_END, label, span, current)
-
-    if phase is Phase.IN_TYPE_LABEL:
-        return _label_step(state, token, tokens, tries.type_trie, Phase.IN_TRIGGER_SPAN)
-
-    if phase is Phase.IN_TRIGGER_SPAN:
-        if token == OPEN:
-            return DecodeState(tokens, 3, Phase.IN_ROLE_LABEL, (), (), current)
-        if token == CLOSE:
-            return DecodeState(tokens, 1, Phase.AWAIT_EVENT, label, (), None)
-        return DecodeState(tokens, state.depth, phase, label, span + (token,), current)
-
-    if phase is Phase.AWAIT_ARG:
-        if token == OPEN:
-            return DecodeState(tokens, 3, Phase.IN_ROLE_LABEL, (), span, current)
-        return DecodeState(tokens, 1, Phase.AWAIT_EVENT, label, span, None)
-
-    if phase is Phase.IN_ROLE_LABEL:
-        trie = tries.role_tries[current]
-        return _label_step(state, token, tokens, trie, Phase.IN_ARG_SPAN)
-
-    if phase is Phase.IN_ARG_SPAN:
-        if token == CLOSE:
-            return DecodeState(tokens, 2, Phase.AWAIT_ARG, label, (), current)
-        return DecodeState(tokens, state.depth, phase, label, span + (token,), current)
-
-    assert phase is Phase.AWAIT_END
+    nxt = here.next.get(token) or automaton.advance(here, token)
     # the end sentinel is not part of the linearized body
-    return DecodeState(state.tokens, state.depth, Phase.DONE, label, span, current)
-
-
-def _label_step(
-    state: DecodeState,
-    token: str,
-    tokens: tuple[str, ...],
-    trie: LabelTrie,
-    span_phase: Phase,
-) -> DecodeState:
-    node = trie.node(state.partial_label)
-    child = node.children.get(token)
-    in_type = state.phase is Phase.IN_TYPE_LABEL
-    if child is not None:
-        if child.is_leaf and not child.children:
-            current = child.label if in_type else state.current_type
-            return DecodeState(tokens, state.depth, span_phase, (), (), current)
-        return DecodeState(
-            tokens, state.depth, state.phase, state.partial_label + (token,),
-            state.partial_span, state.current_type,
-        )
-    # token opens the mention; commit the label completed at this node
-    current = node.label if in_type else state.current_type
-    return DecodeState(tokens, state.depth, span_phase, (), (token,), current)
+    tokens = state.tokens if nxt is automaton.end else state.tokens + (token,)
+    out = nxt.as_view(tokens)
+    object.__setattr__(out, "_view", (automaton, nxt))
+    return out
 
 
 @dataclass(frozen=True)
@@ -262,7 +362,9 @@ class DecodeResult:
 
     @property
     def total_logprob(self) -> float:
-        return sum(self.logprobs)
+        # a left fold, as beam accumulates its scores; sum() compensates
+        # its rounding from Python 3.12 on
+        return reduce(add, self.logprobs, 0.0)
 
     @property
     def nll(self) -> float:
@@ -299,26 +401,25 @@ def constrained_decode(
     TruncationError when ``max_length`` is hit before the end sentinel.
     """
     config = config or DecodeConfig()
-    tries = schema.tries
     span_trie = build_span_trie(inp, max_span_len)
     if not config.constrained:
         return _greedy_unconstrained(scorer, inp, config)
-    if config.mode == "greedy":
-        return _greedy(scorer, inp, tries, span_trie, config)
-    return _beam(scorer, inp, tries, span_trie, config)
+    automaton = _Automaton(schema.tries, span_trie)
+    try:
+        if config.mode == "greedy":
+            return _greedy(scorer, inp, automaton, config)
+        return _beam(scorer, inp, automaton, config)
+    finally:
+        automaton.clear()
 
 
 def _greedy(
-    scorer: Scorer,
-    inp: TokenizedInput,
-    tries: SchemaTries,
-    span_trie: SpanTrie,
-    config: DecodeConfig,
+    scorer: Scorer, inp: TokenizedInput, automaton: _Automaton, config: DecodeConfig
 ) -> DecodeResult:
-    state = DecodeState()
+    state, end = automaton.start, automaton.end
     prefix: list[str] = [BOS]
     logprobs: list[float] = []
-    while not state.done:
+    while state is not end:
         if len(prefix) >= config.max_length:
             raise TruncationError(
                 f"no end sentinel within max_length={config.max_length} tokens"
@@ -326,16 +427,17 @@ def _greedy(
         dist = scorer.next_distribution(inp, tuple(prefix))
         # the smallest (-p, token), checking every candidate in set order
         chosen, best = None, -1.0
-        for token in candidate_vocab(state, tries, span_trie):
+        for token in state.legal:
             p = dist.get(token, 0.0)
             if not 0.0 <= p < inf:  # also false for NaN
                 _checked_prob(dist, token)  # raises, naming the token
             if p > best or (p == best and token < chosen):
                 chosen, best = token, p
         logprobs.append(log(best) if best > 0.0 else -inf)
-        state = _advance(state, chosen, tries)
+        state = state.next.get(chosen) or automaton.advance(state, chosen)
         prefix.append(chosen)
-    return DecodeResult(state.tokens, tuple(logprobs))
+    # drop the sentinels
+    return DecodeResult(tuple(prefix[1:-1]), tuple(logprobs))
 
 
 def _greedy_unconstrained(
@@ -360,23 +462,34 @@ def _greedy_unconstrained(
             return DecodeResult(tuple(prefix[1:-1]), tuple(logprobs))
 
 
-@dataclass(frozen=True)
 class _Hyp:
-    state: DecodeState
-    prefix: tuple[str, ...]
-    logprobs: tuple[float, ...] = ()
-    # ((0.0 + lp1) + lp2) + ..., kept as the hypothesis grows
-    score: float = 0.0
+    """A beam hypothesis; its log-probabilities are read back through
+    ``parent`` links, so extending one copies no history."""
+
+    __slots__ = ("state", "prefix", "score", "logprob", "parent")
+
+    def __init__(self, state, prefix, score=0.0, logprob=0.0, parent=None):
+        self.state = state
+        self.prefix = prefix
+        # ((0.0 + lp1) + lp2) + ..., kept as the hypothesis grows
+        self.score = score
+        self.logprob = logprob
+        self.parent = parent
+
+    def logprobs(self) -> tuple[float, ...]:
+        out = []
+        hyp = self
+        while hyp.parent is not None:
+            out.append(hyp.logprob)
+            hyp = hyp.parent
+        return tuple(reversed(out))
 
 
 def _beam(
-    scorer: Scorer,
-    inp: TokenizedInput,
-    tries: SchemaTries,
-    span_trie: SpanTrie,
-    config: DecodeConfig,
+    scorer: Scorer, inp: TokenizedInput, automaton: _Automaton, config: DecodeConfig
 ) -> DecodeResult:
-    live = [_Hyp(DecodeState(), (BOS,))]
+    end = automaton.end
+    live = [_Hyp(automaton.start, (BOS,))]
     completed: list[_Hyp] = []
     while live:
         if completed:
@@ -394,7 +507,7 @@ def _beam(
         for i, hyp in enumerate(live):
             dist = scorer.next_distribution(inp, hyp.prefix)
             score, prefix = hyp.score, hyp.prefix
-            for token in candidate_vocab(hyp.state, tries, span_trie):
+            for token in hyp.state.legal:
                 p = dist.get(token, 0.0)
                 if not 0.0 <= p < inf:  # also false for NaN
                     _checked_prob(dist, token)  # raises, naming the token
@@ -404,13 +517,9 @@ def _beam(
         live = []
         for neg_score, prefix, token, i, lp in heapq.nsmallest(config.beam_width, scored):
             parent = parents[i]
-            hyp = _Hyp(
-                _advance(parent.state, token, tries),
-                prefix + (token,),
-                parent.logprobs + (lp,),
-                -neg_score,
-            )
-            if hyp.state.done:
+            state = parent.state.next.get(token) or automaton.advance(parent.state, token)
+            hyp = _Hyp(state, prefix + (token,), -neg_score, lp, parent)
+            if state is end:
                 completed.append(hyp)
             else:
                 live.append(hyp)
@@ -419,7 +528,8 @@ def _beam(
             f"no hypothesis finished within max_length={config.max_length} tokens"
         )
     best = min(completed, key=lambda h: (-h.score, h.prefix))
-    return DecodeResult(best.state.tokens, best.logprobs)
+    # drop the sentinels
+    return DecodeResult(best.prefix[1:-1], best.logprobs())
 
 
 def decode_batch(

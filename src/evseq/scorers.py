@@ -13,6 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from functools import reduce
+from itertools import repeat
+from operator import add, truediv
 from typing import Iterable, Mapping, Sequence
 
 from .schema import EventSchema
@@ -93,8 +96,10 @@ class RandomScorer:
     """Deterministic pseudo-random distributions for fuzzing.
 
     The weights depend only on (seed, prefix): the prefix is hashed with
-    the seed into an RNG state, so repeated runs and repeated queries
-    agree exactly, across platforms.
+    the seed into an RNG state, and they are normalized by their sum
+    taken as a left fold on every supported Python (``sum()`` compensates
+    its rounding from 3.12 on), so repeated runs and repeated queries
+    agree exactly, across platforms and interpreter versions.
     """
 
     def __init__(self, vocab: Iterable[str], seed: int):
@@ -109,7 +114,7 @@ class RandomScorer:
         key = f"{self.seed}".encode() + b"\x00" + "\x1f".join(prefix).encode()
         rng = random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
         weights = [rng.random() + 1e-6 for _ in self.vocab]
-        total = sum(weights)
+        total = reduce(add, weights, 0.0)
         return {token: w / total for token, w in zip(self.vocab, weights)}
 
 
@@ -151,10 +156,11 @@ class NgramScorer:
         # extra_vocab admits tokens never seen in training (smoothing
         # still gives them mass), e.g. label tokens of a schema
         self.vocab = frozenset(counts.get(1, {}).get((), {})) | frozenset(extra_vocab)
-        # (input token set, its support, its memo) for the input decoded
-        # last; the memo maps id(table) to (table, normalized dict), the
-        # table kept so that its id cannot be reused
-        self._support_cache: tuple[frozenset[str], list, dict] | None = None
+        # (input token set, its support, the indices of its input tokens,
+        # its memo) for the input decoded last; the memo maps id(table) to
+        # (table, normalized dict), the table kept so that its id cannot
+        # be reused
+        self._support_cache: tuple[frozenset[str], list, list, dict] | None = None
 
     def _table(self, prefix: Sequence[str]) -> Mapping[str, int]:
         k = min(self.order, len(prefix) + 1)
@@ -166,18 +172,19 @@ class NgramScorer:
             k -= 1
         return self.counts.get(1, {}).get((), {})
 
-    def _support(self, input_tokens: frozenset[str]) -> tuple[list, dict]:
-        """Sorted ``vocab | input_tokens``, each token flagged when it is
-        an input token, and the memo of distributions for that input;
-        kept for the last input token set seen, since a decode asks for
-        one input many times in a row."""
+    def _support(self, input_tokens: frozenset[str]) -> tuple[list, list, dict]:
+        """Sorted ``vocab | input_tokens``, the indices of its input
+        tokens, and the memo of distributions for that input; kept for
+        the last input token set seen, since a decode asks for one input
+        many times in a row."""
         cached = self._support_cache
         if cached is None or (
             cached[0] is not input_tokens and cached[0] != input_tokens
         ):
-            support = [(t, t in input_tokens) for t in sorted(self.vocab | input_tokens)]
-            cached = self._support_cache = (input_tokens, support, {})
-        return cached[1], cached[2]
+            support = sorted(self.vocab | input_tokens)
+            copied = [i for i, t in enumerate(support) if t in input_tokens]
+            cached = self._support_cache = (input_tokens, support, copied, {})
+        return cached[1], cached[2], cached[3]
 
     def next_distribution(
         self, inp: TokenizedInput, prefix: Sequence[str]
@@ -186,19 +193,19 @@ class NgramScorer:
         to the same table gets the same dict object, so callers must not
         modify it."""
         table = self._table(prefix)
-        support, memo = self._support(inp.token_set)
+        support, copied, memo = self._support(inp.token_set)
         hit = memo.get(id(table))
         if hit is not None:
             return hit[1]
-        scores = {}
-        total = 0.0
-        for token, copied in support:
-            s = table.get(token, 0) + self.alpha
-            if copied:
-                s *= self.copy_boost
-            scores[token] = s
-            total += s
-        dist = {token: s / total for token, s in scores.items()}
+        # (count + alpha) * boost per token, summed left to right and
+        # divided by the sum; not sum(), which rounds differently from
+        # Python 3.12 on
+        scores = list(map(add, map(table.get, support, repeat(0)), repeat(self.alpha)))
+        boost = self.copy_boost
+        for i in copied:
+            scores[i] *= boost
+        total = reduce(add, scores, 0.0)
+        dist = dict(zip(support, map(truediv, scores, repeat(total))))
         memo[id(table)] = (table, dist)
         return dist
 

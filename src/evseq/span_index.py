@@ -103,7 +103,9 @@ class SpanTrie:
         """True when the input supports no spans at all."""
         return not self._root
 
-    def _node(self, prefix: Sequence[str]) -> dict:
+    def node(self, prefix: Sequence[str]) -> dict:
+        """The node (a dict, read-only to callers) reached by ``prefix``;
+        KeyError if no such path."""
         node = self._root
         for i, token in enumerate(prefix):
             try:
@@ -119,14 +121,14 @@ class SpanTrie:
 
         Raises KeyError when ``prefix`` itself is not a path in the trie.
         """
-        return frozenset(self._node(prefix))
+        return frozenset(self.node(prefix))
 
     def is_span(self, tokens: Sequence[str]) -> bool:
         """True when ``tokens`` is a non-empty in-vocabulary span."""
         if not tokens or len(tokens) > self.max_span_len:
             return False
         try:
-            self._node(tokens)
+            self.node(tokens)
         except KeyError:
             return False
         return True

@@ -1,0 +1,56 @@
+"""Decode with ``RandomScorer``, greedy and beam, and print a digest.
+
+The digest covers every result's tokens, log-probabilities and
+``total_logprob``.  The probe needs only the standard library and
+evseq, so any supported interpreter can run it:
+
+    PYTHONPATH=src python3.13 tests/determinism_probe.py
+
+Every interpreter must print the same digest.
+"""
+
+import hashlib
+
+from evseq import (
+    DecodeConfig,
+    RandomScorer,
+    TokenizedInput,
+    TruncationError,
+    constrained_decode,
+    decoding_vocab,
+    parse_schema,
+)
+
+SCHEMA = parse_schema(
+    "Transfer-Money: Giver, Recipient\nTransfer-Ownership: Buyer, Seller\n"
+    "Attack: Attacker, Target\nDie:"
+)
+WORDS = ("Money", "Buyer", "paid", "sold", "the", "house", "to", "him", "attack", "died", ",")
+CONFIGS = (
+    DecodeConfig(max_length=48),
+    DecodeConfig(mode="beam", beam_width=3, max_length=48),
+)
+
+
+def digest(n_inputs: int = 30) -> str:
+    h = hashlib.sha256()
+    for i in range(n_inputs):
+        # inputs from arithmetic, not from random, whose algorithms may
+        # change between interpreter versions
+        tokens = [WORDS[(i * 7 + j * 3) % len(WORDS)] for j in range(1 + i % 8)]
+        inp = TokenizedInput.from_tokens(tokens)
+        scorer = RandomScorer(decoding_vocab(SCHEMA, inp), seed=i)
+        for config in CONFIGS:
+            try:
+                result = constrained_decode(scorer, inp, SCHEMA, config)
+            except TruncationError:
+                h.update(b"truncated\n")
+                continue
+            h.update(("\x1f".join(result.tokens) + "\n").encode())
+            h.update((" ".join(map(repr, result.logprobs)) + "\n").encode())
+            h.update((repr(result.total_logprob) + "\n").encode())
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    print(digest())

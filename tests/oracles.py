@@ -16,6 +16,9 @@ from typing import Sequence
 
 from evseq import (
     BOS,
+    CLOSE,
+    EOS,
+    OPEN,
     Argument,
     DecodeConfig,
     DecodeError,
@@ -24,7 +27,9 @@ from evseq import (
     EventRecord,
     EventSchema,
     Mention,
+    Phase,
     SchemaTries,
+    SpanTrie,
     TokenizedInput,
     TruncationError,
     build_span_trie,
@@ -334,3 +339,134 @@ def reference_greedy(
         state = step(state, chosen, tries, span_trie)
         prefix.append(chosen)
     return DecodeResult(state.tokens, tuple(logprobs))
+
+
+def reference_candidate_vocab(
+    state: DecodeState, tries: SchemaTries, span_trie: SpanTrie
+) -> frozenset[str]:
+    """The legal-token rules written as a ladder over the phases,
+    recomputed from the trie roots at every call.
+
+    Each set is built with the same expressions, in the same order, as
+    the library's compiled automaton, so iteration orders agree too.
+    """
+    phase = state.phase
+    if phase is Phase.DONE:
+        raise DecodeError("generation has ended; no candidates remain")
+    if phase is Phase.AWAIT_ROOT:
+        return frozenset({OPEN})
+    if phase is Phase.AWAIT_EVENT:
+        cands = {CLOSE}
+        if not span_trie.is_empty:
+            cands.add(OPEN)
+        return frozenset(cands)
+    if phase is Phase.IN_TYPE_LABEL:
+        node = tries.type_trie.node(state.partial_label)
+        cands = set(node.children)
+        if node.is_leaf:
+            cands |= span_trie.children(())
+        return frozenset(cands)
+    if phase is Phase.IN_TRIGGER_SPAN:
+        cands = set(span_trie.children(state.partial_span))
+        if state.partial_span:
+            cands.add(CLOSE)
+            if not tries.role_tries[state.current_type].is_empty:
+                cands.add(OPEN)
+        return frozenset(cands)
+    if phase is Phase.AWAIT_ARG:
+        return frozenset({OPEN, CLOSE})
+    if phase is Phase.IN_ROLE_LABEL:
+        node = tries.role_tries[state.current_type].node(state.partial_label)
+        cands = set(node.children)
+        if node.is_leaf:
+            cands |= span_trie.children(())
+        return frozenset(cands)
+    if phase is Phase.IN_ARG_SPAN:
+        cands = set(span_trie.children(state.partial_span))
+        if state.partial_span:
+            cands.add(CLOSE)
+        return frozenset(cands)
+    assert phase is Phase.AWAIT_END
+    return frozenset({EOS})
+
+
+def reference_step(
+    state: DecodeState, token: str, tries: SchemaTries, span_trie: SpanTrie
+) -> DecodeState:
+    """One automaton step written as a ladder over the phases, copying
+    the token prefix into every new state; labels commit greedy-longest."""
+    if token not in reference_candidate_vocab(state, tries, span_trie):
+        raise DecodeError(f"token {token!r} is not in the candidate vocabulary")
+    tokens = state.tokens + (token,)
+    phase = state.phase
+    label, span, current = state.partial_label, state.partial_span, state.current_type
+    if phase is Phase.AWAIT_ROOT:
+        return DecodeState(tokens, 1, Phase.AWAIT_EVENT, label, span, current)
+    if phase is Phase.AWAIT_EVENT:
+        if token == OPEN:
+            return DecodeState(tokens, 2, Phase.IN_TYPE_LABEL, (), span, current)
+        return DecodeState(tokens, 0, Phase.AWAIT_END, label, span, current)
+    if phase is Phase.IN_TYPE_LABEL:
+        return _reference_label_step(state, token, tokens, tries.type_trie, Phase.IN_TRIGGER_SPAN)
+    if phase is Phase.IN_TRIGGER_SPAN:
+        if token == OPEN:
+            return DecodeState(tokens, 3, Phase.IN_ROLE_LABEL, (), (), current)
+        if token == CLOSE:
+            return DecodeState(tokens, 1, Phase.AWAIT_EVENT, label, (), None)
+        return DecodeState(tokens, state.depth, phase, label, span + (token,), current)
+    if phase is Phase.AWAIT_ARG:
+        if token == OPEN:
+            return DecodeState(tokens, 3, Phase.IN_ROLE_LABEL, (), span, current)
+        return DecodeState(tokens, 1, Phase.AWAIT_EVENT, label, span, None)
+    if phase is Phase.IN_ROLE_LABEL:
+        trie = tries.role_tries[current]
+        return _reference_label_step(state, token, tokens, trie, Phase.IN_ARG_SPAN)
+    if phase is Phase.IN_ARG_SPAN:
+        if token == CLOSE:
+            return DecodeState(tokens, 2, Phase.AWAIT_ARG, label, (), current)
+        return DecodeState(tokens, state.depth, phase, label, span + (token,), current)
+    assert phase is Phase.AWAIT_END
+    # the end sentinel is not part of the linearized body
+    return DecodeState(state.tokens, state.depth, Phase.DONE, label, span, current)
+
+
+def _reference_label_step(state, token, tokens, trie, span_phase) -> DecodeState:
+    node = trie.node(state.partial_label)
+    child = node.children.get(token)
+    in_type = state.phase is Phase.IN_TYPE_LABEL
+    if child is not None:
+        if child.is_leaf and not child.children:
+            current = child.label if in_type else state.current_type
+            return DecodeState(tokens, state.depth, span_phase, (), (), current)
+        return DecodeState(
+            tokens, state.depth, state.phase, state.partial_label + (token,),
+            state.partial_span, state.current_type,
+        )
+    # token opens the mention; commit the label completed at this node
+    current = node.label if in_type else state.current_type
+    return DecodeState(tokens, state.depth, span_phase, (), (token,), current)
+
+
+def reference_ngram_distribution(scorer, inp: TokenizedInput, prefix: Sequence[str]) -> dict:
+    """An n-gram distribution by its definition, one token at a time.
+
+    The longest context with counts is used, backing off to the unigram
+    table; over sorted ``vocab | input tokens`` each score is
+    (count + alpha), times ``copy_boost`` for input tokens, and the
+    scores are divided by their sum taken left to right.
+    """
+    table = scorer.counts.get(1, {}).get((), {})
+    for k in range(min(scorer.order, len(prefix) + 1), 1, -1):
+        found = scorer.counts.get(k, {}).get(tuple(prefix[len(prefix) - (k - 1):]))
+        if found:
+            table = found
+            break
+    scores = {}
+    total = 0.0
+    for token in sorted(scorer.vocab | set(inp.tokens)):
+        s = table.get(token, 0) + scorer.alpha
+        if token in inp.tokens:
+            s *= scorer.copy_boost
+        scores[token] = s
+        total += s
+    return {token: s / total for token, s in scores.items()}

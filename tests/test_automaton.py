@@ -1,0 +1,167 @@
+"""The compiled decoding automaton against the phase-ladder reference.
+
+``candidate_vocab`` and ``step`` are views on the automaton that
+``constrained_decode`` walks, so checking them against the reference
+ladder in ``oracles`` checks the decoder's grammar.
+"""
+
+import gc
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import evseq.decoder
+from evseq import (
+    CLOSE,
+    OPEN,
+    DecodeConfig,
+    DecodeError,
+    DecodeResult,
+    DecodeState,
+    Phase,
+    SchemaTries,
+    TokenizedInput,
+    TruncationError,
+    UniformScorer,
+    build_span_trie,
+    candidate_vocab,
+    constrained_decode,
+    decoding_vocab,
+    parse_schema,
+    split_label,
+    step,
+)
+
+from oracles import random_schema, reference_candidate_vocab, reference_step
+
+SHARED_PREFIX_SCHEMA = parse_schema(
+    "End: Re\nEnd-Position: Re, Place\nTransfer-Money: Giver, Recipient\n"
+    "Transfer-Ownership: Buyer, Seller\nDie:"
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    max_span_len=st.integers(min_value=1, max_value=4),
+    soft_len=st.integers(min_value=0, max_value=40),
+)
+def test_views_equal_the_reference_ladder_on_random_walks(seed, max_span_len, soft_len):
+    rng = random.Random(seed)
+    if rng.random() < 0.4:
+        schema = SHARED_PREFIX_SCHEMA
+    else:
+        schema = random_schema(rng, max_types=4, max_roles=3)
+    # words and label tokens, so that mentions can collide with labels
+    names = [*schema.types, *(r for t in schema.types for r in schema.roles(t))]
+    pool = ["x", "y", "(", *(t for name in names for t in split_label(name))]
+    inp = TokenizedInput.from_tokens([rng.choice(pool) for _ in range(rng.randint(0, 6))])
+    tries = SchemaTries.from_schema(schema)
+    span_trie = build_span_trie(inp, max_span_len)
+    state = ref = DecodeState()
+    while not ref.done:
+        legal = candidate_vocab(state, tries, span_trie)
+        want = reference_candidate_vocab(ref, tries, span_trie)
+        assert legal == want
+        assert list(legal) == list(want)  # the order first-error messages follow
+        cands = sorted(legal)
+        if len(ref.tokens) >= soft_len and CLOSE in cands:
+            token = CLOSE
+        else:
+            token = rng.choice(cands)
+        state = step(state, token, tries, span_trie)
+        ref = reference_step(ref, token, tries, span_trie)
+        assert state == ref
+    assert state.done
+    with pytest.raises(DecodeError):
+        candidate_vocab(state, tries, span_trie)
+    with pytest.raises(DecodeError):
+        reference_candidate_vocab(ref, tries, span_trie)
+
+
+def test_views_accept_states_of_other_equal_tries_and_span_tries():
+    inp = TokenizedInput.from_tokens(["Money", "paid", "x"])
+    tries = SchemaTries.from_schema(SHARED_PREFIX_SCHEMA)
+    span_trie = build_span_trie(inp)
+    state = DecodeState()
+    for token in (OPEN, OPEN, "Transfer", "Money", "paid", OPEN):
+        state = step(state, token, tries, span_trie)
+    # fresh objects: the state is located again from its tokens
+    other = (SchemaTries.from_schema(SHARED_PREFIX_SCHEMA), build_span_trie(inp))
+    assert candidate_vocab(state, *other) == candidate_vocab(state, tries, span_trie)
+    assert candidate_vocab(state, *other) == {"Giver", "Recipient"}
+    assert step(state, "Giver", *other) == step(state, "Giver", tries, span_trie)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        DecodeState(phase=Phase.AWAIT_EVENT, depth=1),  # tokens do not lead there
+        DecodeState((OPEN,), 1, Phase.AWAIT_EVENT, ("x",)),  # a stray partial label
+        DecodeState((OPEN,), 2, Phase.AWAIT_EVENT),  # a wrong depth
+        DecodeState((OPEN, "x")),  # an illegal token
+    ],
+)
+def test_views_reject_fields_that_disagree_with_the_tokens(state):
+    tries = SchemaTries.from_schema(SHARED_PREFIX_SCHEMA)
+    span_trie = build_span_trie(TokenizedInput.from_tokens(["x"]))
+    with pytest.raises(DecodeError, match="is not a state its tokens lead to"):
+        candidate_vocab(state, tries, span_trie)
+    with pytest.raises(DecodeError, match="is not a state its tokens lead to"):
+        step(state, OPEN, tries, span_trie)
+
+
+@pytest.mark.parametrize("max_length", [64, 512])
+def test_a_looping_greedy_decode_computes_its_transitions_once(monkeypatch, max_length):
+    # Under a uniform scorer greedy takes the smallest legal token, and
+    # "(" < ")" < letters: after the trigger it opens an argument, closes
+    # it after one span token, and opens the next one, until max_length.
+    schema = parse_schema("Transfer-Money: Giver, Recipient\nTransfer-Ownership: Buyer")
+    inp = TokenizedInput.from_tokens(["Money", "paid", "x"])
+    scorer = UniformScorer(decoding_vocab(schema, inp))
+    computed = []
+    advance = evseq.decoder._Automaton.advance
+
+    def counting(self, state, token):
+        computed.append((state.phase, token))
+        return advance(self, state, token)
+
+    monkeypatch.setattr(evseq.decoder._Automaton, "advance", counting)
+    with pytest.raises(TruncationError):
+        constrained_decode(scorer, inp, schema, DecodeConfig(max_length=max_length))
+    # "( ( Transfer Money Money ( Giver Money )" takes nine transitions,
+    # the next "(" a tenth (to a role-label state already compiled); from
+    # there "Giver Money ) (" repeats, every step a lookup
+    assert len(computed) == 10
+
+
+@pytest.mark.parametrize("config", [
+    DecodeConfig(max_length=64),  # truncates, as above
+    DecodeConfig(mode="beam", beam_width=3, max_length=64),
+])
+def test_a_decode_leaves_no_cyclic_garbage(config):
+    # transitions link automaton states in cycles (the event loop back to
+    # AWAIT_EVENT, the argument loop above); a decode unlinks them when it
+    # ends, so reference counting frees its automaton at once
+    schema = parse_schema("Transfer-Money: Giver, Recipient\nTransfer-Ownership: Buyer")
+    inp = TokenizedInput.from_tokens(["Money", "paid", "x"])
+    scorer = UniformScorer(decoding_vocab(schema, inp))
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            constrained_decode(scorer, inp, schema, config)
+        except TruncationError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_total_logprob_is_a_left_fold():
+    # sum() of floats compensates its rounding from Python 3.12 on and
+    # would give -1.0000000000000002e16; beam ranks by the left fold
+    assert DecodeResult((), (-1e16, -1.0, -1.0)).total_logprob == -1e16
+    assert DecodeResult((), ()).total_logprob == 0.0

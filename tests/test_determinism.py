@@ -1,0 +1,53 @@
+"""Decoding gives the same floats on every supported interpreter.
+
+The probe in ``determinism_probe.py`` runs here in-process and under
+each other ``python3.1x`` on PATH that starts; the test skips when
+none does.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from determinism_probe import digest
+
+PROBE = Path(__file__).with_name("determinism_probe.py")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def other_interpreters() -> list[str]:
+    """Each ``python3.1x`` on PATH that starts and is not this version."""
+    found = []
+    for minor in range(10, 20):
+        if (3, minor) == sys.version_info[:2]:
+            continue
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None:
+            continue
+        try:
+            probe = subprocess.run(
+                [exe, "-c", "import sys; print(sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=60,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if probe.returncode == 0 and probe.stdout.strip() == str((3, minor)):
+            found.append(exe)
+    return found
+
+
+def test_random_scorer_decodes_agree_across_interpreters():
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other python3.1x interpreter on PATH starts")
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    want = digest()
+    for exe in interpreters:
+        out = subprocess.run(
+            [exe, str(PROBE)], capture_output=True, text=True, timeout=300, env=env, check=True
+        )
+        assert out.stdout.strip() == want, exe

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -21,6 +23,8 @@ from evseq import (
     train_ngram,
     uniform_scorer,
 )
+
+from oracles import reference_ngram_distribution
 
 EMPTY = TokenizedInput.from_text("")
 
@@ -265,6 +269,34 @@ def test_ngram_memo_decodes_like_fresh_scorers(fig_schema):
         assert outcomes[0] == outcomes[1]  # tokens and logprobs, with ==
         finished += outcomes[0] != "truncated"
     assert finished > 0
+
+
+@pytest.mark.parametrize("alpha, copy_boost", [(0.1, 4.0), (0.37, 2.5), (1e-3, 1.0)])
+def test_ngram_distributions_equal_the_per_token_definition(fig_schema, alpha, copy_boost):
+    examples = generate_synthetic(fig_schema, seed=11, n_sentences=40)
+    pairs = [(ex.inp, linearize(ex.records)) for ex in examples]
+    scorer = train_ngram(pairs[:30], n=3, alpha=alpha, copy_boost=copy_boost)
+    for inp, target in pairs[30:] + pairs[:3]:
+        stream = ("<bos>", *target, "zzz")  # "zzz" backs off to unigrams
+        for i in range(1, len(stream) + 1):
+            got = scorer.next_distribution(inp, stream[:i])
+            want = reference_ngram_distribution(scorer, inp, stream[:i])
+            assert list(got.items()) == list(want.items())  # floats with ==
+
+
+def test_random_scorer_normalizes_by_a_left_fold():
+    # the weights as the scorer draws them, divided by their sum taken
+    # left to right; sum() compensates its rounding from Python 3.12 on
+    scorer = RandomScorer([f"t{i}" for i in range(200)], seed=3)
+    for prefix in (("<bos>",), ("<bos>", "("), ("<bos>", "(", "t7")):
+        key = b"3\x00" + "\x1f".join(prefix).encode()
+        rng = random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
+        weights = [rng.random() + 1e-6 for _ in scorer.vocab]
+        total = 0.0
+        for w in weights:
+            total += w
+        dist = scorer.next_distribution(EMPTY, prefix)
+        assert list(dist.values()) == [w / total for w in weights]
 
 
 def test_ngram_extra_vocab_gets_smoothing_mass():
