@@ -56,7 +56,7 @@ def _mention_from_obj(
         raise DataError(f"{what} text must be a non-empty string", location)
     if start is None:
         return Mention(text)
-    if not isinstance(start, int) or start < 0:
+    if not isinstance(start, int) or isinstance(start, bool) or start < 0:
         raise DataError(f"{what} start must be a non-negative token index", location)
     toks = tokenize(text).tokens
     if tuple(inp.tokens[start : start + len(toks)]) != toks:
@@ -73,22 +73,26 @@ def _example_from_obj(obj, location: str) -> Example:
     for field in ("id", "text", "events"):
         if field not in obj:
             raise DataError(f"missing field {field!r}", location)
+    if not isinstance(obj["text"], str):
+        raise DataError("text must be a string", location)
+    if not isinstance(obj["events"], list):
+        raise DataError("events must be a list", location)
     inp = tokenize(obj["text"])
     records = []
     for event in obj["events"]:
         if not isinstance(event, dict) or "type" not in event or "trigger" not in event:
             raise DataError("event must have 'type' and 'trigger' fields", location)
+        if not isinstance(event["type"], str):
+            raise DataError("event type must be a string", location)
         trigger = _mention_from_obj(event["trigger"], inp, "trigger", location)
+        if not isinstance(event.get("args", []), list):
+            raise DataError("args must be a list", location)
         args = []
         for arg in event.get("args", ()):
-            if not isinstance(arg, dict) or "role" not in arg:
-                raise DataError("argument must have a 'role' field", location)
-            args.append(
-                Argument(
-                    arg["role"],
-                    _mention_from_obj(arg, inp, f"argument {arg['role']!r}", location),
-                )
-            )
+            if not isinstance(arg, dict) or not isinstance(arg.get("role"), str):
+                raise DataError("argument must have a string 'role' field", location)
+            mention = _mention_from_obj(arg, inp, f"argument {arg['role']!r}", location)
+            args.append(Argument(arg["role"], mention))
         records.append(EventRecord(event["type"], trigger, tuple(args)))
     return Example(str(obj["id"]), inp, tuple(records))
 

@@ -13,18 +13,22 @@ renormalizes, and scores accumulate in log domain.
 The schema's label tries are compiled once per schema object
 (``EventSchema.tries``) and shared by every sentence; only the span trie
 is built per input.  Each decode then compiles the automaton lazily, a
-state→allowed-token index in the manner of Willard & Louf (2023): a
-state holds its phase, its trie node, its legal tokens as a frozenset
-built once, and a token→next-state table filled on first use.  States
-are interned on the identities of their phase and trie node, so a
-decode that comes back to a grammar state (every new argument of one
-event type, say) steps by one dict lookup.  Greedy and beam search walk
-these states and keep only the emitted prefix themselves;
-``DecodeState``, ``candidate_vocab`` and ``step`` are views on the same
-automaton.  Beam search scores before it advances: each live
-hypothesis keeps a running score, every legal token is scored as that
-score plus its log-probability, and the automaton is stepped only for
-the ``beam_width`` survivors.  Greedy search is kept separate from beam
+state→allowed-token index in the manner of Willard & Louf (2023): the
+automaton keeps its states in a list, and a state holds its phase, its
+label-trie node or mention span, its legal tokens as a frozenset built
+once, and a token→next-state-id table filled on first use, a state's id
+being its index in that list.  Transitions are ids, not states, so
+states never reference each other and a finished decode's automaton is
+freed by reference counting alone.  States are interned on their phase,
+label-trie node, mention span and event type, so a decode that comes
+back to a grammar state (every new argument of one event type, say)
+steps by one dict lookup.  Greedy and beam search walk these states and
+keep only the emitted prefix themselves; ``DecodeState``,
+``candidate_vocab`` and ``step`` are views on the same automaton.  Beam
+search scores before it advances: each live hypothesis keeps a running
+score, every legal token is scored as that score plus its
+log-probability, and the automaton is stepped only for the
+``beam_width`` survivors.  Greedy search is kept separate from beam
 width 1 because the two break ties differently (see
 ``constrained_decode``).
 """
@@ -141,10 +145,10 @@ class DecodeConfig:
 class _State:
     """One automaton state, interned per decode.
 
-    It holds the ``DecodeState`` fields other than ``tokens``, the trie
-    node being walked (a label-trie node while a label is spelled out, a
-    span-trie node while a mention is), its legal next tokens, built
-    once, and ``next``, the transitions taken so far by token.
+    It holds the ``DecodeState`` fields other than ``tokens``, the
+    label-trie node while a label is spelled out, its legal next tokens,
+    built once, and ``next``, the transitions taken so far: token to the
+    next state's id in ``_Automaton.states``.
     """
 
     __slots__ = ("phase", "depth", "label", "span", "current", "node", "legal", "next")
@@ -157,7 +161,7 @@ class _State:
         self.current = current
         self.node = node
         self.legal = legal  # None once generation has ended
-        self.next: dict[str, _State] = {}
+        self.next: dict[str, int] = {}
 
     def as_view(self, tokens: tuple[str, ...]) -> DecodeState:
         return DecodeState(tokens, self.depth, self.phase, self.label, self.span, self.current)
@@ -166,30 +170,33 @@ class _State:
 class _Automaton:
     """The decoding grammar of one (schema tries, span trie) pair.
 
-    States are compiled on first use and interned on the identities of
-    their phase and trie node, and on their event type, which together
-    fix the rest of a state; a decode that comes back to a grammar state
-    reuses its legal set and transitions.  The grammar's rules are
-    written here once: ``_legal`` for the legal tokens of a state and
-    ``advance`` for its transitions.
+    States are compiled on first use into ``states``, a state's id being
+    its index there.  They are interned on the identities of their phase
+    and label-trie node, on their mention span and on their event type,
+    which together fix the rest of a state; a decode that comes back to
+    a grammar state reuses its legal set and transitions.  The grammar's
+    rules are written here once: ``_legal`` for the legal tokens of a
+    state and ``advance`` for its transitions.
     """
 
     def __init__(self, tries: SchemaTries, span_trie: SpanTrie):
         self.tries = tries
         self.span_trie = span_trie
-        self.span_root = span_trie.node(())
-        self._states: dict[tuple, _State] = {}
-        self.start = self._state(_AWAIT_ROOT, 0)
-        self.end = self._state(_DONE, 0)
+        self.states: list[_State] = []
+        self._ids: dict[tuple, int] = {}
+        self.start = self.states[self._state(_AWAIT_ROOT, 0)]
+        self.end = self.states[self._state(_DONE, 0)]
 
-    def _state(self, phase, depth, node=None, current=None, label=(), span=()) -> _State:
+    def _state(self, phase, depth, node=None, current=None, label=(), span=()) -> int:
+        """The id of a state, compiled if it is new."""
         # ids, not the Phase member: an Enum member hashes in Python code
-        key = (id(phase), id(node), current)
-        state = self._states.get(key)
-        if state is None:
+        key = (id(phase), id(node), span, current)
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.states)
             legal = self._legal(phase, node, span, current)
-            state = self._states[key] = _State(phase, depth, label, span, current, node, legal)
-        return state
+            self.states.append(_State(phase, depth, label, span, current, node, legal))
+        return i
 
     def _legal(self, phase, node, span, current) -> frozenset[str] | None:
         """The tokens legal in a state (see ``candidate_vocab``)."""
@@ -208,27 +215,22 @@ class _Automaton:
                 # label may end here; the mention starts
                 cands |= self.span_trie.children(())
             return frozenset(cands)
-        if phase is _IN_TRIGGER_SPAN:
+        if phase is _IN_TRIGGER_SPAN or phase is _IN_ARG_SPAN:
             cands = set(self.span_trie.children(span))
             if span:
                 cands.add(CLOSE)
-                if not self.tries.role_tries[current].is_empty:
+                if phase is _IN_TRIGGER_SPAN and not self.tries.role_tries[current].is_empty:
                     cands.add(OPEN)
             return frozenset(cands)
         if phase is _AWAIT_ARG:
             return frozenset({OPEN, CLOSE})
-        if phase is _IN_ARG_SPAN:
-            cands = set(self.span_trie.children(span))
-            if span:
-                cands.add(CLOSE)
-            return frozenset(cands)
         assert phase is _AWAIT_END
         return frozenset({EOS})
 
     def advance(self, state: _State, token: str) -> _State:
         """The state after ``token``, which must be legal in ``state``
         (label commitment as described in ``step``); computed once, then
-        kept in ``state.next``."""
+        kept in ``state.next`` by id."""
         phase, depth, current = state.phase, state.depth, state.current
         if phase is _IN_TYPE_LABEL or phase is _IN_ROLE_LABEL:
             in_type = phase is _IN_TYPE_LABEL
@@ -239,11 +241,11 @@ class _Automaton:
                 # token opens the mention; commit the label completed here
                 if in_type:
                     current = node.label
-                nxt = self._state(span_phase, depth, self.span_root[token], current, span=(token,))
+                nxt = self._state(span_phase, depth, current=current, span=(token,))
             elif child.is_leaf and not child.children:
                 if in_type:
                     current = child.label
-                nxt = self._state(span_phase, depth, self.span_root, current)
+                nxt = self._state(span_phase, depth, current=current)
             else:
                 nxt = self._state(phase, depth, child, current, label=state.label + (token,))
         elif phase is _AWAIT_ROOT:
@@ -261,19 +263,11 @@ class _Automaton:
             else:  # an event, after its trigger or its last argument
                 nxt = self._state(_AWAIT_EVENT, 1)
         elif phase is _AWAIT_END:
-            nxt = self.end
+            nxt = self._state(_DONE, 0)
         else:  # the next token of a mention
-            nxt = self._state(phase, depth, state.node[token], current, span=state.span + (token,))
+            nxt = self._state(phase, depth, current=current, span=state.span + (token,))
         state.next[token] = nxt
-        return nxt
-
-    def clear(self) -> None:
-        """Drop every transition.  Transitions link states in cycles,
-        which reference counting cannot free; a decode clears its
-        automaton when it ends, so that the cyclic garbage collector
-        does not have to."""
-        for state in self._states.values():
-            state.next.clear()
+        return self.states[nxt]
 
 
 def _view(
@@ -294,11 +288,13 @@ def _view(
         return bound
     automaton = _Automaton(tries, span_trie)
     here = automaton.start
-    # the end sentinel is not kept in tokens
+    # the end sentinel is not kept in tokens; advance interns the state
+    # it reaches, so a transition the replay takes twice is computed twice
+    # but leads to the same state
     for token in (state.tokens + (EOS,)) if state.done else state.tokens:
         if here.legal is None or token not in here.legal:
             raise DecodeError(f"{state!r} is not a state its tokens lead to")
-        here = here.next.get(token) or automaton.advance(here, token)
+        here = automaton.advance(here, token)
     if here.as_view(state.tokens) != state:
         raise DecodeError(f"{state!r} is not a state its tokens lead to")
     bound = (automaton, here)
@@ -341,11 +337,12 @@ def step(
             f"token {token!r} is not in the candidate vocabulary "
             f"(phase {state.phase.value}, depth {state.depth})"
         )
-    nxt = here.next.get(token) or automaton.advance(here, token)
+    nxt = here.next.get(token)
+    here = automaton.states[nxt] if nxt is not None else automaton.advance(here, token)
     # the end sentinel is not part of the linearized body
-    tokens = state.tokens if nxt is automaton.end else state.tokens + (token,)
-    out = nxt.as_view(tokens)
-    object.__setattr__(out, "_view", (automaton, nxt))
+    tokens = state.tokens if here is automaton.end else state.tokens + (token,)
+    out = here.as_view(tokens)
+    object.__setattr__(out, "_view", (automaton, here))
     return out
 
 
@@ -405,18 +402,15 @@ def constrained_decode(
     if not config.constrained:
         return _greedy_unconstrained(scorer, inp, config)
     automaton = _Automaton(schema.tries, span_trie)
-    try:
-        if config.mode == "greedy":
-            return _greedy(scorer, inp, automaton, config)
-        return _beam(scorer, inp, automaton, config)
-    finally:
-        automaton.clear()
+    if config.mode == "greedy":
+        return _greedy(scorer, inp, automaton, config)
+    return _beam(scorer, inp, automaton, config)
 
 
 def _greedy(
     scorer: Scorer, inp: TokenizedInput, automaton: _Automaton, config: DecodeConfig
 ) -> DecodeResult:
-    state, end = automaton.start, automaton.end
+    state, end, states = automaton.start, automaton.end, automaton.states
     prefix: list[str] = [BOS]
     logprobs: list[float] = []
     while state is not end:
@@ -434,7 +428,8 @@ def _greedy(
             if p > best or (p == best and token < chosen):
                 chosen, best = token, p
         logprobs.append(log(best) if best > 0.0 else -inf)
-        state = state.next.get(chosen) or automaton.advance(state, chosen)
+        nxt = state.next.get(chosen)
+        state = states[nxt] if nxt is not None else automaton.advance(state, chosen)
         prefix.append(chosen)
     # drop the sentinels
     return DecodeResult(tuple(prefix[1:-1]), tuple(logprobs))
@@ -488,7 +483,7 @@ class _Hyp:
 def _beam(
     scorer: Scorer, inp: TokenizedInput, automaton: _Automaton, config: DecodeConfig
 ) -> DecodeResult:
-    end = automaton.end
+    end, states = automaton.end, automaton.states
     live = [_Hyp(automaton.start, (BOS,))]
     completed: list[_Hyp] = []
     while live:
@@ -517,7 +512,8 @@ def _beam(
         live = []
         for neg_score, prefix, token, i, lp in heapq.nsmallest(config.beam_width, scored):
             parent = parents[i]
-            state = parent.state.next.get(token) or automaton.advance(parent.state, token)
+            nxt = parent.state.next.get(token)
+            state = states[nxt] if nxt is not None else automaton.advance(parent.state, token)
             hyp = _Hyp(state, prefix + (token,), -neg_score, lp, parent)
             if state is end:
                 completed.append(hyp)

@@ -298,6 +298,9 @@ def load_scorer(path) -> NgramScorer:
         raise ValueError(
             f"{path}: unsupported artifact version {payload.get('version')!r}"
         )
+    missing = [key for key in ("order", "counts", "alpha", "copy_boost") if key not in payload]
+    if missing:
+        raise ValueError(f"{path}: scorer artifact has no {', '.join(missing)}")
     counts: Counts = {}
     for k, tables in payload["counts"]:
         counts[k] = {

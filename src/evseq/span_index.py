@@ -72,11 +72,13 @@ def tokenize(text: str) -> TokenizedInput:
 class SpanTrie:
     """Trie over the contiguous token subsequences of one input sentence.
 
-    Nodes are plain nested dicts mapping a token to its child node.  Any
-    non-empty path from the root is a span that occurs verbatim in the
-    input, so there is no separate terminal marker: a span may always
-    end once at least one token has been consumed.  Paths are capped at
-    ``max_span_len`` tokens and never cross a reserved token.
+    Any non-empty path from the root is a span that occurs verbatim in
+    the input, so there is no separate terminal marker: a span may
+    always end once at least one token has been consumed.  Paths are
+    capped at ``max_span_len`` tokens and never cross a reserved token.
+    Callers name a node by its span (``children``, ``is_span``): the
+    nodes, nested token→child dicts, are private to this module, so the
+    decoder keys its mention states on span values.
     """
 
     def __init__(self, tokens: Sequence[str], max_span_len: int = DEFAULT_MAX_SPAN_LEN):
@@ -85,27 +87,20 @@ class SpanTrie:
         self.max_span_len = max_span_len
         self.tokens = tuple(tokens)
         self._root: dict = {}
-        for start, token in enumerate(self.tokens):
-            if token in RESERVED_TOKENS:
-                continue
+        for start in range(len(self.tokens)):
             node = self._root
-            for offset in range(max_span_len):
-                pos = start + offset
-                if pos >= len(self.tokens):
+            for token in self.tokens[start : start + max_span_len]:
+                if token in RESERVED_TOKENS:
                     break
-                step = self.tokens[pos]
-                if step in RESERVED_TOKENS:
-                    break
-                node = node.setdefault(step, {})
+                node = node.setdefault(token, {})
 
     @property
     def is_empty(self) -> bool:
         """True when the input supports no spans at all."""
         return not self._root
 
-    def node(self, prefix: Sequence[str]) -> dict:
-        """The node (a dict, read-only to callers) reached by ``prefix``;
-        KeyError if no such path."""
+    def _node(self, prefix: Sequence[str]) -> dict:
+        """The node reached by ``prefix``; KeyError if no such path."""
         node = self._root
         for i, token in enumerate(prefix):
             try:
@@ -121,14 +116,14 @@ class SpanTrie:
 
         Raises KeyError when ``prefix`` itself is not a path in the trie.
         """
-        return frozenset(self.node(prefix))
+        return frozenset(self._node(prefix))
 
     def is_span(self, tokens: Sequence[str]) -> bool:
         """True when ``tokens`` is a non-empty in-vocabulary span."""
         if not tokens or len(tokens) > self.max_span_len:
             return False
         try:
-            self.node(tokens)
+            self._node(tokens)
         except KeyError:
             return False
         return True

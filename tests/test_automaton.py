@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import evseq.decoder
 from evseq import (
     CLOSE,
+    EOS,
     OPEN,
     DecodeConfig,
     DecodeError,
@@ -155,6 +156,27 @@ def test_a_decode_leaves_no_cyclic_garbage(config):
             constrained_decode(scorer, inp, schema, config)
         except TruncationError:
             pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_public_step_walk_leaves_no_cyclic_garbage():
+    # a walk through step compiles an automaton that the states it returns
+    # keep alive; its transitions are state ids, so dropping the last state
+    # frees it by reference counting, with nothing for the collector to do
+    schema = parse_schema("T: R")
+    inp = TokenizedInput.from_tokens(["a", "b"])
+    tries, span_trie = SchemaTries.from_schema(schema), build_span_trie(inp)
+    walk = [OPEN, OPEN, "T", "a", "b", OPEN, "R", "a", CLOSE, CLOSE, OPEN, "T", "b", CLOSE]
+    gc.collect()
+    gc.disable()
+    try:
+        state = DecodeState()
+        for token in (*walk, CLOSE, EOS):
+            state = step(state, token, tries, span_trie)
+        assert state.done and state.tokens == (*walk, CLOSE)
+        del state
         assert gc.collect() == 0
     finally:
         gc.enable()

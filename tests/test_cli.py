@@ -187,6 +187,23 @@ def test_train_needs_at_least_two_sentences(capsys, tmp_path, schema_file, gold_
     assert "at least 2 sentences" in err
 
 
+def test_malformed_dataset_and_scorer_files_exit_4(capsys, tmp_path, schema_file, gold_file):
+    bad_rows = tmp_path / "bad.jsonl"
+    bad_rows.write_text('{"id": "x", "text": "a", "events": 5}\n', encoding="utf-8")
+    code, _, err = run(capsys, "eval", gold_file, str(bad_rows))
+    assert code == 4
+    assert "events must be a list" in err
+    scorer = tmp_path / "scorer.json"
+    save_scorer(train_ngram([(TokenizedInput.from_tokens(["a"]), ("(", ")"))]), scorer)
+    payload = json.loads(scorer.read_text())
+    del payload["counts"]
+    scorer.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(capsys, "decode", gold_file, schema_file, str(scorer),
+                       "--out", str(tmp_path / "preds.jsonl"))
+    assert code == 4
+    assert "scorer artifact has no counts" in err
+
+
 def test_eval_identity_is_perfect(capsys, gold_file):
     code, out, _ = run(capsys, "eval", gold_file, gold_file)
     assert code == 0

@@ -124,6 +124,56 @@ def test_read_rejects_invalid_json(tmp_path):
             },
             "'role' field",
         ),
+        ({"id": "x", "text": "a", "events": {}}, "events must be a list"),
+        ({"id": "x", "text": "a", "events": "e"}, "events must be a list"),
+        (
+            {
+                "id": "x",
+                "text": "a",
+                "events": [{"type": "A", "trigger": {"text": "a", "start": 0}, "args": 5}],
+            },
+            "args must be a list",
+        ),
+        (
+            {
+                "id": "x",
+                "text": "a",
+                "events": [{"type": "A", "trigger": {"text": "a", "start": 0}, "args": {}}],
+            },
+            "args must be a list",
+        ),
+        ({"id": "x", "text": 5, "events": []}, "text must be a string"),
+        ({"id": "x", "text": None, "events": []}, "text must be a string"),
+        (
+            {
+                "id": "x",
+                "text": "a b",
+                "events": [{"type": "A", "trigger": {"text": "b", "start": True}}],
+            },
+            "non-negative token index",
+        ),
+        (
+            {
+                "id": "x",
+                "text": "a",
+                "events": [{"type": 5, "trigger": {"text": "a", "start": 0}}],
+            },
+            "event type must be a string",
+        ),
+        (
+            {
+                "id": "x",
+                "text": "a",
+                "events": [
+                    {
+                        "type": "A",
+                        "trigger": {"text": "a", "start": 0},
+                        "args": [{"role": 5, "text": "a", "start": 0}],
+                    }
+                ],
+            },
+            "string 'role' field",
+        ),
     ],
 )
 def test_read_rejects_malformed_rows(tmp_path, obj, fragment):

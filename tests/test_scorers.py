@@ -1,6 +1,8 @@
 import hashlib
+import json
 import math
 import random
+import re
 
 import pytest
 
@@ -384,6 +386,14 @@ def test_load_scorer_rejects_foreign_files(tmp_path):
     wrong_version.write_text(payload)
     with pytest.raises(ValueError):
         load_scorer(wrong_version)
+    for key in ("counts", "order", "alpha", "copy_boost"):
+        partial = tmp_path / f"no-{key}.json"
+        save_scorer(train_ngram(one_item_corpus()), partial)
+        payload = json.loads(partial.read_text())
+        del payload[key]
+        partial.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{partial}: scorer artifact has no {key}")):
+            load_scorer(partial)
 
 
 def test_oracle_factory_matches_class(fig_seq):
