@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .schema import EventSchema, LabelTrie, split_label
-from .span_index import tokenize
+from .span_index import TokenizedInput, tokenize
 from .tokens import BOS, CLOSE, EOS, OPEN, RESERVED_TOKENS, SENTINEL_TOKENS
 
 
@@ -50,7 +50,8 @@ class Mention:
 
     ``token_start`` is the index of the mention's first token in the
     tokenized source; ``char_start`` the character offset of that token.
-    Both are None while the mention is ungrounded.
+    Both are None while the mention is ungrounded.  ``tokens`` is not a
+    field: equality, hashing and repr see only the three above.
     """
 
     text: str
@@ -63,7 +64,12 @@ class Mention:
 
     @cached_property
     def tokens(self) -> tuple[str, ...]:
-        """Token form of ``text``, computed on first use and kept."""
+        """Token form of ``text``, computed on first use and kept.
+
+        Mentions that grounding and ``read_dataset`` anchor in an input
+        start out with the input's own tokens at their offset (see
+        ``_anchored_mention``), so they never tokenize their text again.
+        """
         return tokenize(self.text).tokens
 
     @property
@@ -76,6 +82,17 @@ class Mention:
     @property
     def grounded(self) -> bool:
         return self.token_start is not None
+
+
+def _anchored_mention(
+    text: str, inp: TokenizedInput, start: int, tokens: tuple[str, ...]
+) -> Mention:
+    """A mention grounded at token ``start`` of ``inp`` whose ``tokens``,
+    equal to ``tokenize(text).tokens``, are the caller's ``tokens``: a
+    slice of the input, so the mention shares the input's strings."""
+    mention = Mention(text, start, inp.char_spans[start][0])
+    mention.__dict__["tokens"] = tokens  # where cached_property keeps it
+    return mention
 
 
 @dataclass(frozen=True)

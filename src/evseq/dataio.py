@@ -7,10 +7,12 @@ Each line is a JSON object:
          "trigger": {"text": "returned", "start": 2},
          "args": [{"role": "Artifact", "text": "The man", "start": 0}]}]}
 
-``start`` is a token index into the tokenization of ``text``; null marks
+``id`` is a string or an integer, read as its decimal string.  ``start``
+is a token index into the tokenization of ``text``; null marks
 an ungrounded mention (predictions may contain those, gold should not).
 Offsets are validated on read: the tokens at ``start`` must equal the
-mention's own tokens.  Files are UTF-8, one object per line, and are
+mention's own tokens, and the mention keeps that slice of the input's
+tokens as its ``tokens``.  Files are UTF-8, one object per line, and are
 written deterministically so identical data produces identical bytes.
 """
 
@@ -20,8 +22,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .codec import Argument, EventRecord, Mention
-from .span_index import TokenizedInput, tokenize
+from .codec import Argument, EventRecord, Mention, _anchored_mention
+from .span_index import TokenizedInput, token_strings, tokenize
 
 
 class DataError(ValueError):
@@ -58,13 +60,14 @@ def _mention_from_obj(
         return Mention(text)
     if not isinstance(start, int) or isinstance(start, bool) or start < 0:
         raise DataError(f"{what} start must be a non-negative token index", location)
-    toks = tokenize(text).tokens
-    if tuple(inp.tokens[start : start + len(toks)]) != toks:
+    toks = token_strings(text)
+    span = inp.tokens[start : start + len(toks)]
+    if not toks or span != toks:
         raise DataError(
             f"{what} {text!r} does not match the input tokens at index {start}",
             location,
         )
-    return Mention(text, start, inp.char_spans[start][0])
+    return _anchored_mention(text, inp, start, span)
 
 
 def _example_from_obj(obj, location: str) -> Example:
@@ -73,6 +76,9 @@ def _example_from_obj(obj, location: str) -> Example:
     for field in ("id", "text", "events"):
         if field not in obj:
             raise DataError(f"missing field {field!r}", location)
+    sent_id = obj["id"]
+    if not isinstance(sent_id, (str, int)) or isinstance(sent_id, bool):
+        raise DataError("id must be a string or an integer", location)
     if not isinstance(obj["text"], str):
         raise DataError("text must be a string", location)
     if not isinstance(obj["events"], list):
@@ -94,7 +100,7 @@ def _example_from_obj(obj, location: str) -> Example:
             mention = _mention_from_obj(arg, inp, f"argument {arg['role']!r}", location)
             args.append(Argument(arg["role"], mention))
         records.append(EventRecord(event["type"], trigger, tuple(args)))
-    return Example(str(obj["id"]), inp, tuple(records))
+    return Example(str(sent_id), inp, tuple(records))
 
 
 def read_dataset(path) -> list[Example]:

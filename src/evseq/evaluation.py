@@ -10,7 +10,9 @@ lists aligned by sentence id:
 
 Matching is one-to-one between items with equal keys, so a sentence
 matches min(gold, predicted) occurrences of every key: the size of the
-multiset intersection of its gold and predicted keys.  Keys are
+multiset intersection of its gold and predicted keys.  Every key starts
+with its sentence's position in the corpus, so one intersection over
+the whole corpus gives the sum of the per-sentence ones.  Keys are
 compared by equality only, so no one-to-one matching can do better (an
 item can only pair with an item of its own key, and each key pairs at
 most min(gold, predicted) times); the test suite verifies this against
@@ -111,21 +113,22 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _trigger_items(records: Sequence[EventRecord], classified: bool) -> list[tuple]:
-    items = []
+def _collect_items(
+    records: Sequence[EventRecord], position: int, items: tuple[list, ...]
+) -> None:
+    """Append each record's keys to ``items``, its trig_i, trig_c, arg_i
+    and arg_c lists; every key starts with ``position``, the sentence's
+    index in the corpus, so keys of different sentences never match."""
+    trig_i, trig_c, arg_i, arg_c = items
     for record in records:
-        key = (record.trigger.token_start, record.trigger.token_end)
-        items.append(key + (record.type,) if classified else key)
-    return items
-
-
-def _argument_items(records: Sequence[EventRecord], classified: bool) -> list[tuple]:
-    items = []
-    for record in records:
+        trigger = record.trigger
+        key = (position, trigger.token_start, trigger.token_end)
+        trig_i.append(key)
+        trig_c.append(key + (record.type,))
         for arg in record.args:
-            key = (arg.mention.token_start, arg.mention.token_end, record.type)
-            items.append(key + (arg.role,) if classified else key)
-    return items
+            key = (position, arg.mention.token_start, arg.mention.token_end, record.type)
+            arg_i.append(key)
+            arg_c.append(key + (arg.role,))
 
 
 def _match_count(gold_items: list[tuple], pred_items: list[tuple]) -> int:
@@ -158,7 +161,9 @@ def evaluate(
 
     The two sequences must be aligned: same length, same ids in the same
     order.  Gold records must carry offsets; ungrounded predicted
-    mentions count as unmatched predictions.
+    mentions count as unmatched predictions.  Sentences are validated
+    one by one, in order, while their keys are collected; each metric
+    then takes one multiset intersection over the whole corpus.
     """
     gold = list(gold)
     predicted = list(predicted)
@@ -166,26 +171,19 @@ def evaluate(
         raise ValueError(
             f"gold has {len(gold)} sentences but predictions have {len(predicted)}"
         )
-    totals = {metric: MetricCounts() for metric in METRIC_NAMES}
-    extractors = {
-        "trig_i": lambda recs: _trigger_items(recs, classified=False),
-        "trig_c": lambda recs: _trigger_items(recs, classified=True),
-        "arg_i": lambda recs: _argument_items(recs, classified=False),
-        "arg_c": lambda recs: _argument_items(recs, classified=True),
-    }
-    for (gold_id, gold_records), (pred_id, pred_records) in zip(gold, predicted):
+    gold_items = tuple([] for _ in METRIC_NAMES)
+    pred_items = tuple([] for _ in METRIC_NAMES)
+    for position, ((gold_id, gold_records), (pred_id, pred_records)) in enumerate(
+        zip(gold, predicted)
+    ):
         if gold_id != pred_id:
             raise ValueError(
                 f"sentence id mismatch: gold {gold_id!r} vs predicted {pred_id!r}"
             )
         _require_grounded(gold_records, gold_id)
-        for metric, extract in extractors.items():
-            gold_items = extract(gold_records)
-            pred_items = extract(pred_records)
-            counts = MetricCounts(
-                len(gold_items),
-                len(pred_items),
-                _match_count(gold_items, pred_items),
-            )
-            totals[metric] = totals[metric] + counts
-    return EvalReport(**totals)
+        _collect_items(gold_records, position, gold_items)
+        _collect_items(pred_records, position, pred_items)
+    return EvalReport(*(
+        MetricCounts(len(g), len(p), _match_count(g, p))
+        for g, p in zip(gold_items, pred_items)
+    ))

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .codec import Argument, EventRecord, Mention
+from .codec import Argument, EventRecord, Mention, _anchored_mention
 from .span_index import TokenizedInput, find_occurrences
 
 
 def _grounded_mention(mention: Mention, inp: TokenizedInput, start: int) -> Mention:
-    return Mention(mention.text, start, inp.char_spans[start][0])
+    tokens = inp.tokens[start : start + len(mention.tokens)]
+    return _anchored_mention(mention.text, inp, start, tokens)
 
 
 def ground_triggers(

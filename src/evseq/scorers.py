@@ -52,6 +52,9 @@ class OracleScorer:
     While the prefix follows the target, the next target token gets
     probability 1−ε and the rest of the vocabulary shares ε evenly.
     Off the target path (or past its end) the distribution is uniform.
+    Every call returns a new dict, keyed in vocabulary order; on the
+    target path it is a copy of one ε/(V−1) dict, built on the first
+    such call, with the target token's value replaced.
     """
 
     def __init__(
@@ -65,6 +68,7 @@ class OracleScorer:
         self.stream = (BOS, *target, EOS)
         self.epsilon = epsilon
         self.vocab = tuple(sorted(set(vocab or ()) | set(self.stream)))
+        self._rest: dict[str, float] | None = None
 
     def next_distribution(
         self, inp: TokenizedInput, prefix: Sequence[str]
@@ -76,8 +80,14 @@ class OracleScorer:
         target_token = self.stream[i]
         if len(self.vocab) == 1:
             return {target_token: 1.0}
-        rest = self.epsilon / (len(self.vocab) - 1)
-        dist = dict.fromkeys(self.vocab, rest)
+        rest = self._rest
+        if rest is None:
+            rest = dict.fromkeys(self.vocab, self.epsilon / (len(self.vocab) - 1))
+        # the call for the last target token takes the ε dict itself, so
+        # a scorer whose decode has finished holds no dict
+        last = i == len(self.stream) - 1
+        self._rest = None if last else rest
+        dist = rest if last else rest.copy()
         dist[target_token] = 1.0 - self.epsilon
         return dist
 
@@ -301,15 +311,22 @@ def load_scorer(path) -> NgramScorer:
     missing = [key for key in ("order", "counts", "alpha", "copy_boost") if key not in payload]
     if missing:
         raise ValueError(f"{path}: scorer artifact has no {', '.join(missing)}")
-    counts: Counts = {}
-    for k, tables in payload["counts"]:
-        counts[k] = {
-            tuple(context): dict(table) for context, table in tables
+    for key, kinds in (("order", int), ("alpha", (int, float)), ("copy_boost", (int, float))):
+        if not isinstance(payload[key], kinds) or isinstance(payload[key], bool):
+            kind = type(payload[key]).__name__
+            raise ValueError(f"{path}: scorer artifact field {key!r} is a {kind}")
+    try:
+        counts: Counts = {
+            k: {tuple(context): dict(table) for context, table in tables}
+            for k, tables in payload["counts"]
         }
+        vocab = frozenset(payload.get("vocab", ()))
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: malformed scorer artifact: {err}") from None
     return NgramScorer(
         payload["order"],
         counts,
         payload["alpha"],
         payload["copy_boost"],
-        payload.get("vocab", ()),
+        vocab,
     )

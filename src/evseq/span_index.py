@@ -69,6 +69,11 @@ def tokenize(text: str) -> TokenizedInput:
     return TokenizedInput.from_text(text)
 
 
+def token_strings(text: str) -> tuple[str, ...]:
+    """``tokenize(text).tokens``, without building the offsets."""
+    return tuple(_TOKEN_RE.findall(text))
+
+
 class SpanTrie:
     """Trie over the contiguous token subsequences of one input sentence.
 

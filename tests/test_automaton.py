@@ -143,9 +143,10 @@ def test_a_looping_greedy_decode_computes_its_transitions_once(monkeypatch, max_
     DecodeConfig(mode="beam", beam_width=3, max_length=64),
 ])
 def test_a_decode_leaves_no_cyclic_garbage(config):
-    # transitions link automaton states in cycles (the event loop back to
-    # AWAIT_EVENT, the argument loop above); a decode unlinks them when it
-    # ends, so reference counting frees its automaton at once
+    # transitions are state ids, not references between states, so the
+    # event loop back to AWAIT_EVENT and the argument loop above make no
+    # reference cycles and reference counting frees a decode's automaton
+    # as soon as the decode ends
     schema = parse_schema("Transfer-Money: Giver, Recipient\nTransfer-Ownership: Buyer")
     inp = TokenizedInput.from_tokens(["Money", "paid", "x"])
     scorer = UniformScorer(decoding_vocab(schema, inp))

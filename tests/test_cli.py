@@ -202,6 +202,16 @@ def test_malformed_dataset_and_scorer_files_exit_4(capsys, tmp_path, schema_file
                        "--out", str(tmp_path / "preds.jsonl"))
     assert code == 4
     assert "scorer artifact has no counts" in err
+    payload["counts"] = 5
+    scorer.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(capsys, "decode", gold_file, schema_file, str(scorer),
+                       "--out", str(tmp_path / "preds.jsonl"))
+    assert code == 4
+    assert f"{scorer}: malformed scorer artifact" in err
+    bad_rows.write_text('{"id": null, "text": "a", "events": []}\n', encoding="utf-8")
+    code, _, err = run(capsys, "eval", gold_file, str(bad_rows))
+    assert code == 4
+    assert "id must be a string or an integer" in err
 
 
 def test_eval_identity_is_perfect(capsys, gold_file):

@@ -174,6 +174,18 @@ def test_read_rejects_invalid_json(tmp_path):
             },
             "string 'role' field",
         ),
+        ({"id": None, "text": "a", "events": []}, "id must be a string or an integer"),
+        ({"id": 1.5, "text": "a", "events": []}, "id must be a string or an integer"),
+        ({"id": True, "text": "a", "events": []}, "id must be a string or an integer"),
+        ({"id": [], "text": "a", "events": []}, "id must be a string or an integer"),
+        (
+            {
+                "id": "x",
+                "text": "a",
+                "events": [{"type": "A", "trigger": {"text": " ", "start": 3}}],
+            },
+            "does not match the input tokens at index 3",
+        ),
     ],
 )
 def test_read_rejects_malformed_rows(tmp_path, obj, fragment):
@@ -183,6 +195,28 @@ def test_read_rejects_malformed_rows(tmp_path, obj, fragment):
         read_dataset(path)
     assert fragment in str(exc.value)
     assert exc.value.location == f"{path}:1"
+
+
+def test_integer_ids_read_as_strings(tmp_path):
+    path = tmp_path / "data.jsonl"
+    write_lines(path, [{**FIG_LINE, "id": 7}])
+    assert [ex.id for ex in read_dataset(path)] == ["7"]
+
+
+def test_read_mentions_share_the_input_tokens(tmp_path):
+    path = tmp_path / "data.jsonl"
+    write_lines(path, [FIG_LINE])
+    (example,) = read_dataset(path)
+    (record,) = example.records
+    for mention in (record.trigger, *(a.mention for a in record.args)):
+        assert mention.tokens == tokenize(mention.text).tokens
+        start = mention.token_start
+        assert all(tok is example.inp.tokens[start + k] for k, tok in enumerate(mention.tokens))
+        plain = Mention(mention.text, start, mention.char_start)
+        assert mention == plain and hash(mention) == hash(plain)
+        assert repr(mention) == repr(plain)
+    # a mention built from its text alone tokenizes into strings of its own
+    assert Mention("returned").tokens[0] is not record.trigger.tokens[0]
 
 
 def test_read_validates_offsets(tmp_path):

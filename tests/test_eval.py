@@ -85,6 +85,24 @@ def test_swapping_gold_and_predictions_swaps_precision_recall():
         assert f.f1 == pytest.approx(b.f1)
 
 
+def test_equal_keys_in_different_sentences_never_match():
+    gold = [("s0", [rec("EvA", 0, 1, ("RoleX", 2, 1))]), ("s1", [])]
+    pred = [("s0", []), ("s1", [rec("EvA", 0, 1, ("RoleX", 2, 1))])]
+    report = evaluate(gold, pred)
+    for metric in METRIC_NAMES:
+        assert report.counts(metric) == MetricCounts(1, 1, 0)
+
+
+def test_errors_are_raised_at_the_first_bad_sentence():
+    ungrounded = [EventRecord("EvA", Mention("w"))]
+    gold = [("s0", [rec("EvA", 0)]), ("s1", ungrounded), ("s2", [])]
+    with pytest.raises(ValueError, match="in sentence 's1' has no offsets"):
+        evaluate(gold, [("s0", []), ("s1", []), ("other", [])])
+    gold = [("s0", [rec("EvA", 0)]), ("s1", []), ("s2", ungrounded)]
+    with pytest.raises(ValueError, match="gold 's1' vs predicted 'other'"):
+        evaluate(gold, [("s0", []), ("other", []), ("s2", [])])
+
+
 def test_trigger_span_length_matters():
     gold = [("s", [rec("EvA", 0, 2)])]
     pred = [("s", [rec("EvA", 0, 1)])]

@@ -12,6 +12,8 @@ from evseq import (
     linearize,
 )
 
+from evseq.span_index import tokenize
+
 from oracles import erase_offsets
 
 
@@ -149,3 +151,18 @@ def test_ground_then_linearize_round_trips(fig_input, fig_seq, fig_schema):
     grounded = ground_records(parsed, fig_input)
     assert linearize(grounded, fig_schema) == fig_seq
     assert erase_offsets(grounded) == parsed
+
+
+def test_grounded_mentions_share_the_input_tokens():
+    inp = TokenizedInput.from_text("The man returned to Los Angeles from Mexico .")
+    records = [record("Transport", "returned", ("Artifact", "The man"), ("Destination", "Los Angeles"))]
+    (grounded,) = ground_records(records, inp)
+    for mention in (grounded.trigger, *(a.mention for a in grounded.args)):
+        assert mention.tokens == tokenize(mention.text).tokens
+        start = mention.token_start
+        assert all(tok is inp.tokens[start + k] for k, tok in enumerate(mention.tokens))
+        plain = Mention(mention.text, start, mention.char_start)
+        assert mention == plain and hash(mention) == hash(plain)
+        assert repr(mention) == repr(plain)
+    # the ungrounded mention it replaced tokenized its text itself
+    assert records[0].trigger.tokens[0] is not grounded.trigger.tokens[0]

@@ -70,6 +70,31 @@ def test_oracle_scorer_on_and_off_target():
     assert_is_distribution(past_end)
 
 
+def fromkeys_oracle(scorer, prefix):
+    """The oracle's distribution built from scratch with dict.fromkeys."""
+    vocab, stream, eps = scorer.vocab, scorer.stream, scorer.epsilon
+    i = len(prefix)
+    if i < len(stream) and tuple(prefix) == stream[:i]:
+        dist = dict.fromkeys(vocab, eps / (len(vocab) - 1))
+        dist[stream[i]] = 1.0 - eps
+        return dist
+    return dict.fromkeys(vocab, 1.0 / len(vocab))
+
+
+def test_oracle_distributions_equal_a_fromkeys_construction():
+    scorer = OracleScorer(("(", "b", ")"), epsilon=0.1, vocab=["a", "b", "c"])
+    stream = scorer.stream
+    prefixes = [stream[:i] for i in range(1, len(stream))]
+    off = [(*stream[:2], "a"), stream, (*stream, "a")]
+    # the on-target path twice, as a second decode of the same input
+    # would ask, with off-target calls in between
+    for prefix in [*prefixes, *off, *prefixes, off[0]]:
+        dist = scorer.next_distribution(EMPTY, prefix)
+        assert list(dist.items()) == list(fromkeys_oracle(scorer, prefix).items())
+        dist["a"] = -1.0  # callers own the dicts they get
+        dist.clear()
+
+
 def test_oracle_scorer_validates_epsilon():
     with pytest.raises(ValueError):
         OracleScorer(("(",), epsilon=1.0)
@@ -386,6 +411,18 @@ def test_load_scorer_rejects_foreign_files(tmp_path):
     wrong_version.write_text(payload)
     with pytest.raises(ValueError):
         load_scorer(wrong_version)
+    for key, value in [
+        ("counts", 5), ("counts", [[1, 5]]), ("counts", [[1, [[["a"], 3]]]]),
+        ("order", "x"), ("order", True), ("alpha", None), ("copy_boost", "4"),
+        ("vocab", 5),
+    ]:
+        wrong_type = tmp_path / "wrong-type.json"
+        save_scorer(train_ngram(one_item_corpus()), wrong_type)
+        payload = json.loads(wrong_type.read_text())
+        payload[key] = value
+        wrong_type.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"{wrong_type}: ")):
+            load_scorer(wrong_type)
     for key in ("counts", "order", "alpha", "copy_boost"):
         partial = tmp_path / f"no-{key}.json"
         save_scorer(train_ngram(one_item_corpus()), partial)

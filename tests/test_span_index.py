@@ -11,6 +11,7 @@ from evseq import (
     find_occurrences,
     tokenize,
 )
+from evseq.span_index import token_strings
 
 from oracles import contiguous_subsequences
 
@@ -34,6 +35,11 @@ def test_tokenize_keeps_offsets_into_original_text():
 def test_tokenize_empty_and_whitespace():
     assert tokenize("").tokens == ()
     assert tokenize("   \n\t").tokens == ()
+
+
+@given(st.text(alphabet="ab7_ ,.(\u00e9\n\t", max_size=12))
+def test_token_strings_are_the_tokens_of_tokenize(text):
+    assert token_strings(text) == tokenize(text).tokens
 
 
 def test_from_tokens_synthesizes_offsets():
