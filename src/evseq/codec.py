@@ -25,12 +25,11 @@ by taking the longest matching label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .schema import EventSchema, LabelTrie, split_label
-from .span_index import TokenizedInput, tokenize
+from .span_index import token_strings
 from .tokens import BOS, CLOSE, EOS, OPEN, RESERVED_TOKENS, SENTINEL_TOKENS
 
 
@@ -44,33 +43,30 @@ class CodecError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mention:
     """A surface text span, optionally anchored in the source sentence.
 
     ``token_start`` is the index of the mention's first token in the
     tokenized source; ``char_start`` the character offset of that token.
-    Both are None while the mention is ungrounded.  ``tokens`` is not a
-    field: equality, hashing and repr see only the three above.
+    Both are None while the mention is ungrounded.  ``tokens`` is the
+    token form of ``text``: a caller that already holds it (a slice of
+    the input it grounded the mention in, or the tokens of the mention
+    it replaces) passes it in, and must pass exactly
+    ``token_strings(text)``; otherwise it is computed here.  Equality,
+    hashing and repr see only the three fields above.
     """
 
     text: str
     token_start: int | None = None
     char_start: int | None = None
+    tokens: tuple[str, ...] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.text:
             raise CodecError("mention text must be non-empty")
-
-    @cached_property
-    def tokens(self) -> tuple[str, ...]:
-        """Token form of ``text``, computed on first use and kept.
-
-        Mentions that grounding and ``read_dataset`` anchor in an input
-        start out with the input's own tokens at their offset (see
-        ``_anchored_mention``), so they never tokenize their text again.
-        """
-        return tokenize(self.text).tokens
+        if self.tokens is None:
+            object.__setattr__(self, "tokens", token_strings(self.text))
 
     @property
     def token_end(self) -> int | None:
@@ -82,17 +78,6 @@ class Mention:
     @property
     def grounded(self) -> bool:
         return self.token_start is not None
-
-
-def _anchored_mention(
-    text: str, inp: TokenizedInput, start: int, tokens: tuple[str, ...]
-) -> Mention:
-    """A mention grounded at token ``start`` of ``inp`` whose ``tokens``,
-    equal to ``tokenize(text).tokens``, are the caller's ``tokens``: a
-    slice of the input, so the mention shares the input's strings."""
-    mention = Mention(text, start, inp.char_spans[start][0])
-    mention.__dict__["tokens"] = tokens  # where cached_property keeps it
-    return mention
 
 
 @dataclass(frozen=True)

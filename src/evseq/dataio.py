@@ -11,9 +11,10 @@ Each line is a JSON object:
 is a token index into the tokenization of ``text``; null marks
 an ungrounded mention (predictions may contain those, gold should not).
 Offsets are validated on read: the tokens at ``start`` must equal the
-mention's own tokens, and the mention keeps that slice of the input's
-tokens as its ``tokens``.  Files are UTF-8, one object per line, and are
-written deterministically so identical data produces identical bytes.
+mention's own tokens, and that slice of the input's tokens is passed to
+the mention as its ``tokens``, so it shares the input's strings.  Files
+are UTF-8, one object per line, and are written deterministically so
+identical data produces identical bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .codec import Argument, EventRecord, Mention, _anchored_mention
+from .codec import Argument, EventRecord, Mention
 from .span_index import TokenizedInput, token_strings, tokenize
 
 
@@ -67,7 +68,7 @@ def _mention_from_obj(
             f"{what} {text!r} does not match the input tokens at index {start}",
             location,
         )
-    return _anchored_mention(text, inp, start, span)
+    return Mention(text, start, inp.char_spans[start][0], span)
 
 
 def _example_from_obj(obj, location: str) -> Example:

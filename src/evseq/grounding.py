@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .codec import Argument, EventRecord, Mention, _anchored_mention
+from .codec import Argument, EventRecord, Mention
 from .span_index import TokenizedInput, find_occurrences
 
 
 def _grounded_mention(mention: Mention, inp: TokenizedInput, start: int) -> Mention:
     tokens = inp.tokens[start : start + len(mention.tokens)]
-    return _anchored_mention(mention.text, inp, start, tokens)
+    return Mention(mention.text, start, inp.char_spans[start][0], tokens)
 
 
 def ground_triggers(
@@ -39,7 +39,7 @@ def ground_triggers(
             trigger = _grounded_mention(record.trigger, inp, occs[0])
             cursor = occs[0] + len(toks)
         else:
-            trigger = Mention(record.trigger.text)
+            trigger = Mention(record.trigger.text, tokens=record.trigger.tokens)
         out.append(EventRecord(record.type, trigger, record.args))
     return tuple(out)
 
@@ -58,7 +58,7 @@ def ground_arguments(record: EventRecord, inp: TokenizedInput) -> EventRecord:
             start = min(occs, key=lambda s: (abs(s - anchor), s))
             mention = _grounded_mention(arg.mention, inp, start)
         else:
-            mention = Mention(arg.mention.text)
+            mention = Mention(arg.mention.text, tokens=arg.mention.tokens)
         args.append(Argument(arg.role, mention))
     return EventRecord(record.type, record.trigger, tuple(args))
 

@@ -153,12 +153,11 @@ def load_schema(path) -> EventSchema:
 
 
 class TrieNode:
-    """One trie node: a token, its children, and the label it completes."""
+    """One trie node: its children by token, and the label it completes."""
 
-    __slots__ = ("token", "children", "label")
+    __slots__ = ("children", "label")
 
-    def __init__(self, token: str | None = None):
-        self.token = token
+    def __init__(self):
         self.children: dict[str, TrieNode] = {}
         self.label: str | None = None
 
@@ -187,7 +186,7 @@ class LabelTrie:
                 raise SchemaError(f"label {label!r} tokenizes to zero tokens")
             node = root
             for token in tokens:
-                node = node.children.setdefault(token, TrieNode(token))
+                node = node.children.setdefault(token, TrieNode())
             if node.label is not None and node.label != label:
                 raise SchemaError(
                     f"labels {node.label!r} and {label!r} tokenize identically"

@@ -316,17 +316,50 @@ def load_scorer(path) -> NgramScorer:
             kind = type(payload[key]).__name__
             raise ValueError(f"{path}: scorer artifact field {key!r} is a {kind}")
     try:
-        counts: Counts = {
-            k: {tuple(context): dict(table) for context, table in tables}
-            for k, tables in payload["counts"]
-        }
-        vocab = frozenset(payload.get("vocab", ()))
+        counts = _counts_from_blob(payload["counts"], payload["order"])
+        vocab = payload.get("vocab", [])
+        if not _is_strings(vocab):
+            raise ValueError("vocab is not a list of strings")
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: malformed scorer artifact: {err}") from None
-    return NgramScorer(
-        payload["order"],
-        counts,
-        payload["alpha"],
-        payload["copy_boost"],
-        vocab,
-    )
+    try:
+        return NgramScorer(
+            payload["order"],
+            counts,
+            payload["alpha"],
+            payload["copy_boost"],
+            frozenset(vocab),
+        )
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(t, str) for t in value)
+
+
+def _counts_from_blob(blob, order: int) -> Counts:
+    """The count tables of an artifact's ``counts`` list of ``[k, tables]``
+    entries: each k in 1..order, each context a list of k−1 strings, each
+    table a map from string tokens to positive integer counts."""
+    counts: Counts = {}
+    for k, tables in blob:
+        if not _is_int(k) or not 1 <= k <= order:
+            raise ValueError(f"n-gram order {k!r} is not an integer in 1..{order}")
+        counts[k] = {}
+        for context, table in tables:
+            if not _is_strings(context) or len(context) != k - 1:
+                raise ValueError(f"order-{k} context {context!r} is not {k - 1} strings")
+            table = dict(table)
+            for token, count in table.items():
+                if not isinstance(token, str) or not _is_int(count) or count < 1:
+                    raise ValueError(
+                        f"count {token!r}: {count!r} is not a positive integer"
+                        " for a string token"
+                    )
+            counts[k][tuple(context)] = table
+    return counts

@@ -208,6 +208,12 @@ def test_malformed_dataset_and_scorer_files_exit_4(capsys, tmp_path, schema_file
                        "--out", str(tmp_path / "preds.jsonl"))
     assert code == 4
     assert f"{scorer}: malformed scorer artifact" in err
+    payload["counts"] = [[1, [[[], {"(": "q", ")": 1, "<eos>": 1}]]]]
+    scorer.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(capsys, "decode", gold_file, schema_file, str(scorer),
+                       "--out", str(tmp_path / "preds.jsonl"))
+    assert code == 4
+    assert f"{scorer}: malformed scorer artifact" in err
     bad_rows.write_text('{"id": null, "text": "a", "events": []}\n', encoding="utf-8")
     code, _, err = run(capsys, "eval", gold_file, str(bad_rows))
     assert code == 4

@@ -36,15 +36,17 @@ def test_mention_tokens_are_computed_once(monkeypatch):
     import evseq.codec
 
     calls = []
-    real = evseq.codec.tokenize
+    real = evseq.codec.token_strings
     monkeypatch.setattr(
-        evseq.codec, "tokenize", lambda text: calls.append(text) or real(text)
+        evseq.codec, "token_strings", lambda text: calls.append(text) or real(text)
     )
     m = Mention("Los Angeles", token_start=4)
     assert m.tokens == ("Los", "Angeles")
     assert (m.token_end, m.token_end, m.tokens) == (6, 6, ("Los", "Angeles"))
     assert calls == ["Los Angeles"]
-    # the cache stays out of equality and hashing
+    # tokens is a slot, not an instance dict entry
+    assert not hasattr(m, "__dict__")
+    # tokens stays out of equality and hashing
     fresh = Mention("Los Angeles", token_start=4)
     assert m == fresh and hash(m) == hash(fresh)
     assert m != Mention("Los Angeles") and len({m, fresh}) == 1

@@ -98,6 +98,8 @@ def test_absent_argument_stays_ungrounded():
     grounded = ground_arguments(rec, inp)
     assert grounded.args[0].mention.token_start is None
     assert not grounded.args[0].mention.grounded
+    # the ungrounded mention keeps the tokens of the one it replaces
+    assert grounded.args[0].mention.tokens is rec.args[0].mention.tokens
 
 
 def test_ground_arguments_requires_grounded_trigger():
@@ -132,6 +134,8 @@ def test_ground_records_skips_args_of_unmatched_trigger():
     (grounded,) = ground_records(records, inp)
     assert grounded.trigger.token_start is None
     assert grounded.args[0].mention.token_start is None
+    # the ungrounded trigger keeps the tokens of the one it replaces
+    assert grounded.trigger.tokens is records[0].trigger.tokens
 
 
 def test_grounded_offsets_point_at_mention_tokens(fig_input, fig_seq, fig_schema):

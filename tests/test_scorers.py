@@ -413,8 +413,14 @@ def test_load_scorer_rejects_foreign_files(tmp_path):
         load_scorer(wrong_version)
     for key, value in [
         ("counts", 5), ("counts", [[1, 5]]), ("counts", [[1, [[["a"], 3]]]]),
-        ("order", "x"), ("order", True), ("alpha", None), ("copy_boost", "4"),
-        ("vocab", 5),
+        ("counts", [[1, [[[], {"(": "q", ")": 1, "<eos>": 1}]]]]),
+        ("counts", [[1, [[[], {"(": 0}]]]]), ("counts", [[1, [[[], {"(": True}]]]]),
+        ("counts", [[1, [[[], [[5, 1]]]]]]), ("counts", [[2, [[[5], {"(": 1}]]]]),
+        ("counts", [[2, [["(", {"(": 1}]]]]), ("counts", [["x", []]]),
+        ("counts", [[5, []]]), ("counts", [[0, []]]), ("counts", [[True, []]]),
+        ("order", "x"), ("order", True), ("order", 0), ("alpha", None),
+        ("alpha", 0), ("copy_boost", "4"), ("copy_boost", 0.5), ("vocab", 5),
+        ("vocab", [1]),
     ]:
         wrong_type = tmp_path / "wrong-type.json"
         save_scorer(train_ngram(one_item_corpus()), wrong_type)
