@@ -217,6 +217,19 @@ def cmd_fuzz(args) -> int:
     return EXIT_OK if violations == 0 else EXIT_CONSTRAINT
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than ``low`` (else exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evseq",
@@ -245,9 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", help="dataset file; only sentences are used")
     p.add_argument("schema")
     p.add_argument("scorer", help="trained scorer artifact")
-    p.add_argument("--beam", type=int, default=0, metavar="N", help="beam width (default: greedy)")
-    p.add_argument("--max-len", type=int, default=128)
-    p.add_argument("--max-span-len", type=int, default=DEFAULT_MAX_SPAN_LEN)
+    p.add_argument(
+        "--beam", type=_int_at_least(0), default=0, metavar="N", help="beam width (default: greedy)"
+    )
+    p.add_argument("--max-len", type=_int_at_least(4), default=128)
+    p.add_argument("--max-span-len", type=_int_at_least(1), default=DEFAULT_MAX_SPAN_LEN)
     p.add_argument("--no-constraints", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_decode)
@@ -286,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="decode under random scorers and count violations")
     p.add_argument("schema")
-    p.add_argument("--seeds", type=int, default=500, metavar="K")
-    p.add_argument("--max-len", type=int, default=2048)
-    p.add_argument("--max-span-len", type=int, default=DEFAULT_MAX_SPAN_LEN)
+    p.add_argument("--seeds", type=_int_at_least(0), default=500, metavar="K")
+    p.add_argument("--max-len", type=_int_at_least(4), default=2048)
+    p.add_argument("--max-span-len", type=_int_at_least(1), default=DEFAULT_MAX_SPAN_LEN)
     p.set_defaults(func=cmd_fuzz)
 
     return parser

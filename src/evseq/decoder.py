@@ -10,27 +10,27 @@ schema labels, and copies mentions verbatim from the input.
 Candidate probabilities are the scorer's raw values: masking never
 renormalizes, and scores accumulate in log domain.
 
-The schema's label tries are compiled once per schema object
-(``EventSchema.tries``) and shared by every sentence; only the span trie
-is built per input.  Each decode then compiles the automaton lazily, a
-state→allowed-token index in the manner of Willard & Louf (2023): the
-automaton keeps its states in a list, and a state holds its phase, its
-label-trie node or mention span, its legal tokens as a frozenset built
-once, and a token→next-state-id table filled on first use, a state's id
-being its index in that list.  Transitions are ids, not states, so
-states never reference each other and a finished decode's automaton is
-freed by reference counting alone.  States are interned on their phase,
-label-trie node, mention span and event type, so a decode that comes
-back to a grammar state (every new argument of one event type, say)
-steps by one dict lookup.  Greedy and beam search walk these states and
-keep only the emitted prefix themselves; ``DecodeState``,
-``candidate_vocab`` and ``step`` are views on the same automaton.  Beam
-search scores before it advances: each live hypothesis keeps a running
-score, every legal token is scored as that score plus its
-log-probability, and the automaton is stepped only for the
-``beam_width`` survivors.  Greedy search is kept separate from beam
-width 1 because the two break ties differently (see
-``constrained_decode``).
+The decoding grammar depends on the schema alone, so it is compiled once
+per ``SchemaTries`` object (``EventSchema.tries`` is one per schema) and
+shared by every sentence, a state→allowed-token index in the manner of
+Willard & Louf (2023).  Its states sit in a list, compiled on first use;
+a state holds its phase, its label-trie node and event type, its legal
+structure and label tokens as a frozenset built once, a token→next-state-id
+table filled on first use, and the id of the state a copied mention token
+leads to.  Transitions are ids, not states, so states never reference
+each other.  Mention tokens are not in the grammar: they are the keys of
+a node of the input's span trie, the only structure built per sentence.
+A decode position is therefore a pair, a grammar state and a span-trie
+node (None where no mention token is legal); a grammar token steps to
+``state.next[token]`` (and the span trie's root, if mention tokens may
+follow), a mention token to ``state.span_next`` and the node's child.  Greedy and beam search walk
+these pairs and keep only the emitted prefix themselves;
+``DecodeState``, ``candidate_vocab`` and ``step`` are views on the same
+pairs.  Beam search scores before it advances: each live hypothesis keeps
+a running score, every legal token is scored as that score plus its
+log-probability, and only the ``beam_width`` survivors are stepped.
+Greedy search is kept separate from beam width 1 because the two break
+ties differently (see ``constrained_decode``).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from enum import Enum
 from functools import reduce
 from math import inf, log
 from operator import add
+from threading import RLock
 from typing import Mapping, Protocol, Sequence
 
 from .schema import EventSchema, SchemaTries
@@ -50,6 +51,7 @@ from .span_index import (
     SpanTrie,
     TokenizedInput,
     build_span_trie,
+    check_max_span_len,
 )
 from .tokens import BOS, CLOSE, EOS, OPEN
 
@@ -142,170 +144,228 @@ class DecodeConfig:
             raise ValueError("max_length must be >= 4 (shortest legal output)")
 
 
-class _State:
-    """One automaton state, interned per decode.
+_DEPTH = {
+    _AWAIT_ROOT: 0, _AWAIT_EVENT: 1, _IN_TYPE_LABEL: 2, _IN_TRIGGER_SPAN: 2, _AWAIT_ARG: 2,
+    _IN_ROLE_LABEL: 3, _IN_ARG_SPAN: 3, _AWAIT_END: 0, _DONE: 0,
+}
 
-    It holds the ``DecodeState`` fields other than ``tokens``, the
-    label-trie node while a label is spelled out, its legal next tokens,
-    built once, and ``next``, the transitions taken so far: token to the
-    next state's id in ``_Automaton.states``.
+
+class _State:
+    """One grammar state, interned per ``SchemaTries``.
+
+    It holds the ``DecodeState`` fields other than ``tokens`` and
+    ``partial_span``, the label-trie node while a label is spelled out,
+    ``tokens``, its legal grammar tokens (structure and label tokens,
+    built once), and ``next``, the grammar transitions taken so far:
+    token to the next state's id in ``_Grammar.states``.  A state that
+    takes mention tokens from a span-trie node (a mention, or a label
+    that may end here) has ``span_next``, the id of the state a mention
+    token leads to; other states have None.
     """
 
-    __slots__ = ("phase", "depth", "label", "span", "current", "node", "legal", "next")
+    __slots__ = ("phase", "depth", "label", "current", "node", "empty", "tokens", "next",
+                 "span_next")
 
-    def __init__(self, phase, depth, label, span, current, node, legal):
+    def __init__(self, phase, label, current, node, empty, tokens, span_next):
         self.phase = phase
-        self.depth = depth
+        self.depth = _DEPTH[phase]
         self.label = label
-        self.span = span
         self.current = current
         self.node = node
-        self.legal = legal  # None once generation has ended
+        # at AWAIT_ROOT and AWAIT_EVENT: the input has no span
+        self.empty = empty
+        self.tokens = tokens  # None once generation has ended
         self.next: dict[str, int] = {}
+        self.span_next = span_next
 
-    def as_view(self, tokens: tuple[str, ...]) -> DecodeState:
-        return DecodeState(tokens, self.depth, self.phase, self.label, self.span, self.current)
+    def as_view(self, tokens: tuple[str, ...], span: tuple[str, ...]) -> DecodeState:
+        return DecodeState(tokens, self.depth, self.phase, self.label, span, self.current)
 
 
-class _Automaton:
-    """The decoding grammar of one (schema tries, span trie) pair.
+class _Grammar:
+    """The decoding grammar of one ``SchemaTries``, shared by every decode.
 
-    States are compiled on first use into ``states``, a state's id being
-    its index there.  They are interned on the identities of their phase
-    and label-trie node, on their mention span and on their event type,
-    which together fix the rest of a state; a decode that comes back to
-    a grammar state reuses its legal set and transitions.  The grammar's
-    rules are written here once: ``_legal`` for the legal tokens of a
-    state and ``advance`` for its transitions.
+    A decode position is a pair: a grammar state, and the span-trie node
+    of the mention copied so far (the span trie's root where a mention
+    may start, None where no mention token is legal).  Only the states
+    depend on the grammar, so they are compiled on first use into
+    ``states``, a state's id being its index there, and kept for every
+    later input.  They are interned on the identities of their phase and
+    label-trie node, on their event type and on a flag: for a mention,
+    whether it is still empty; at ``AWAIT_ROOT`` and ``AWAIT_EVENT``,
+    whether the input has no span, which forbids opening an event.
+    Compiling takes a lock, so concurrent decoders may share a grammar.
+    The grammar's rules are written here once: ``_compile`` for the
+    grammar tokens of a state and ``advance`` for its transitions.
     """
 
-    def __init__(self, tries: SchemaTries, span_trie: SpanTrie):
-        self.tries = tries
-        self.span_trie = span_trie
+    def __init__(self, tries: SchemaTries):
+        # the tries' parts, not the tries: the tries keep this grammar
+        self.type_root = tries.type_trie.root
+        self.role_tries = tries.role_tries
         self.states: list[_State] = []
         self._ids: dict[tuple, int] = {}
-        self.start = self.states[self._state(_AWAIT_ROOT, 0)]
-        self.end = self.states[self._state(_DONE, 0)]
+        self._lock = RLock()
+        self.start = self.states[self._state(_AWAIT_ROOT)]
+        self.start_empty = self.states[self._state(_AWAIT_ROOT, empty=True)]
+        self.end = self.states[self._state(_DONE)]
 
-    def _state(self, phase, depth, node=None, current=None, label=(), span=()) -> int:
+    def _state(self, phase, node=None, current=None, empty=False, label=()) -> int:
         """The id of a state, compiled if it is new."""
         # ids, not the Phase member: an Enum member hashes in Python code
-        key = (id(phase), id(node), span, current)
+        key = (id(phase), id(node), current, empty)
         i = self._ids.get(key)
         if i is None:
-            i = self._ids[key] = len(self.states)
-            legal = self._legal(phase, node, span, current)
-            self.states.append(_State(phase, depth, label, span, current, node, legal))
+            with self._lock:
+                i = self._ids.get(key)
+                if i is None:
+                    i = self._compile(key, phase, node, current, empty, label)
         return i
 
-    def _legal(self, phase, node, span, current) -> frozenset[str] | None:
-        """The tokens legal in a state (see ``candidate_vocab``)."""
+    def _compile(self, key, phase, node, current, empty, label) -> int:
+        """Append a new state; its legal tokens are the grammar part of
+        ``_legal``, built with the same expressions."""
+        span_next = None
         if phase is _DONE:
-            return None
-        if phase is _AWAIT_ROOT:
-            return frozenset({OPEN})
-        if phase is _AWAIT_EVENT:
+            tokens = None
+        elif phase is _AWAIT_ROOT:
+            tokens = frozenset({OPEN})
+        elif phase is _AWAIT_EVENT:
             cands = {CLOSE}
-            if not self.span_trie.is_empty:
+            if not empty:
                 cands.add(OPEN)
-            return frozenset(cands)
-        if phase is _IN_TYPE_LABEL or phase is _IN_ROLE_LABEL:
-            cands = set(node.children)
+            tokens = frozenset(cands)
+        elif phase is _IN_TYPE_LABEL or phase is _IN_ROLE_LABEL:
+            tokens = frozenset(set(node.children))
             if node.is_leaf:
-                # label may end here; the mention starts
-                cands |= self.span_trie.children(())
-            return frozenset(cands)
-        if phase is _IN_TRIGGER_SPAN or phase is _IN_ARG_SPAN:
-            cands = set(self.span_trie.children(span))
-            if span:
-                cands.add(CLOSE)
-                if phase is _IN_TRIGGER_SPAN and not self.tries.role_tries[current].is_empty:
+                # the label may end here; a mention token commits it
+                if phase is _IN_TYPE_LABEL:
+                    span_next = self._state(_IN_TRIGGER_SPAN, current=node.label)
+                else:
+                    span_next = self._state(_IN_ARG_SPAN, current=current)
+        elif phase is _IN_TRIGGER_SPAN or phase is _IN_ARG_SPAN:
+            if empty:
+                tokens = frozenset()
+                span_next = self._state(phase, current=current)
+            else:
+                cands = {CLOSE}
+                if phase is _IN_TRIGGER_SPAN and not self.role_tries[current].is_empty:
                     cands.add(OPEN)
-            return frozenset(cands)
-        if phase is _AWAIT_ARG:
-            return frozenset({OPEN, CLOSE})
-        assert phase is _AWAIT_END
-        return frozenset({EOS})
+                tokens = frozenset(cands)
+                span_next = len(self.states)  # this state: the mention goes on
+        elif phase is _AWAIT_ARG:
+            tokens = frozenset({OPEN, CLOSE})
+        else:
+            assert phase is _AWAIT_END
+            tokens = frozenset({EOS})
+        # published in _ids once it is in states: readers take no lock
+        self.states.append(_State(phase, label, current, node, empty, tokens, span_next))
+        i = self._ids[key] = len(self.states) - 1
+        return i
 
     def advance(self, state: _State, token: str) -> _State:
-        """The state after ``token``, which must be legal in ``state``
-        (label commitment as described in ``step``); computed once, then
-        kept in ``state.next`` by id."""
-        phase, depth, current = state.phase, state.depth, state.current
+        """The state after ``token``, one of ``state.tokens`` (label
+        commitment as described in ``step``); computed once, then kept in
+        ``state.next`` by id."""
+        phase, current = state.phase, state.current
         if phase is _IN_TYPE_LABEL or phase is _IN_ROLE_LABEL:
-            in_type = phase is _IN_TYPE_LABEL
-            span_phase = _IN_TRIGGER_SPAN if in_type else _IN_ARG_SPAN
-            node = state.node
-            child = node.children.get(token)
-            if child is None:
-                # token opens the mention; commit the label completed here
-                if in_type:
-                    current = node.label
-                nxt = self._state(span_phase, depth, current=current, span=(token,))
-            elif child.is_leaf and not child.children:
-                if in_type:
-                    current = child.label
-                nxt = self._state(span_phase, depth, current=current)
+            child = state.node.children[token]
+            if child.is_leaf and not child.children:
+                if phase is _IN_TYPE_LABEL:
+                    nxt = self._state(_IN_TRIGGER_SPAN, current=child.label, empty=True)
+                else:
+                    nxt = self._state(_IN_ARG_SPAN, current=current, empty=True)
             else:
-                nxt = self._state(phase, depth, child, current, label=state.label + (token,))
+                nxt = self._state(phase, child, current, label=state.label + (token,))
         elif phase is _AWAIT_ROOT:
-            nxt = self._state(_AWAIT_EVENT, 1)
+            nxt = self._state(_AWAIT_EVENT, empty=state.empty)
         elif token == OPEN:
             if phase is _AWAIT_EVENT:  # an event
-                nxt = self._state(_IN_TYPE_LABEL, 2, self.tries.type_trie.root)
+                nxt = self._state(_IN_TYPE_LABEL, self.type_root)
             else:  # an argument, after the trigger or another argument
-                nxt = self._state(_IN_ROLE_LABEL, 3, self.tries.role_tries[current].root, current)
+                nxt = self._state(_IN_ROLE_LABEL, self.role_tries[current].root, current)
         elif token == CLOSE:
             if phase is _AWAIT_EVENT:  # the root
-                nxt = self._state(_AWAIT_END, 0)
+                nxt = self._state(_AWAIT_END)
             elif phase is _IN_ARG_SPAN:  # an argument
-                nxt = self._state(_AWAIT_ARG, 2, None, current)
+                nxt = self._state(_AWAIT_ARG, current=current)
             else:  # an event, after its trigger or its last argument
-                nxt = self._state(_AWAIT_EVENT, 1)
-        elif phase is _AWAIT_END:
-            nxt = self._state(_DONE, 0)
-        else:  # the next token of a mention
-            nxt = self._state(phase, depth, current=current, span=state.span + (token,))
+                nxt = self._state(_AWAIT_EVENT)
+        else:
+            assert phase is _AWAIT_END
+            nxt = self._state(_DONE)
         state.next[token] = nxt
         return self.states[nxt]
 
 
-def _view(
-    state: DecodeState, tries: SchemaTries, span_trie: SpanTrie
-) -> tuple[_Automaton, _State]:
-    """The automaton of ``tries`` and ``span_trie``, and its state that
-    ``state`` is a view of.
-
-    A ``DecodeState`` carries the pair outside its fields (so equality
-    and repr ignore it), and a walk from ``DecodeState()`` through
-    ``step`` compiles one automaton.  A state that carries no pair for
-    this ``tries`` and ``span_trie`` is located by replaying its tokens
-    on a new automaton, and rejected unless its fields are those of the
-    state they reach.
-    """
-    bound = getattr(state, "_view", None)
-    if bound is not None and bound[0].tries is tries and bound[0].span_trie is span_trie:
-        return bound
-    automaton = _Automaton(tries, span_trie)
-    here = automaton.start
-    # the end sentinel is not kept in tokens; advance interns the state
-    # it reaches, so a transition the replay takes twice is computed twice
-    # but leads to the same state
-    for token in (state.tokens + (EOS,)) if state.done else state.tokens:
-        if here.legal is None or token not in here.legal:
-            raise DecodeError(f"{state!r} is not a state its tokens lead to")
-        here = automaton.advance(here, token)
-    if here.as_view(state.tokens) != state:
-        raise DecodeError(f"{state!r} is not a state its tokens lead to")
-    bound = (automaton, here)
-    object.__setattr__(state, "_view", bound)
-    return bound
+def _grammar(tries: SchemaTries) -> _Grammar:
+    """The grammar of ``tries``, compiled on first use and kept on it."""
+    # SchemaTries is frozen, so the grammar goes into its __dict__ (equality
+    # and repr read the fields only); setdefault keeps one if two threads race
+    kept = vars(tries)
+    grammar = kept.get("_grammar")
+    if grammar is None:
+        grammar = kept.setdefault("_grammar", _Grammar(tries))
+    return grammar
 
 
-def _legal(state: _State) -> frozenset[str]:
-    if state.legal is None:
+def _legal(state: _State, node: Mapping | None) -> frozenset[str]:
+    """The tokens legal at a position (see ``candidate_vocab``).  Each set
+    is built with the expressions of the phase-by-phase reference in
+    ``tests/oracles.py``, so iteration orders agree too: the first-bad-value
+    error of the search loops follows this order."""
+    tokens = state.tokens
+    if tokens is None:
         raise DecodeError("generation has ended; no candidates remain")
-    return state.legal
+    if node is None:
+        return tokens
+    if state.node is not None:  # a label that may end here
+        cands = set(state.node.children)
+        cands |= frozenset(node)
+    else:  # a mention
+        cands = set(frozenset(node))
+        for token in (CLOSE, OPEN):
+            if token in tokens:
+                cands.add(token)
+    return frozenset(cands)
+
+
+def _move(grammar: _Grammar, root: Mapping, state: _State, node, span, token: str):
+    """The position and mention span after ``token``, which must be legal:
+    a grammar token first (a label goes on rather than end), else a
+    mention token."""
+    if token in state.tokens:
+        nxt = state.next.get(token)
+        state = grammar.states[nxt] if nxt is not None else grammar.advance(state, token)
+        return state, (root if state.span_next is not None else None), ()
+    return grammar.states[state.span_next], node[token], span + (token,)
+
+
+def _view(state: DecodeState, tries: SchemaTries, span_trie: SpanTrie):
+    """The grammar of ``tries``, and the position that ``state`` is a view
+    of: a grammar state and a node of ``span_trie`` (or None).
+
+    A ``DecodeState`` carries its position outside its fields (so
+    equality and repr ignore it), bound to ``tries`` and ``span_trie``.
+    A state that carries none for these objects is located by replaying
+    its tokens from the start, and rejected unless its fields are those
+    of the position they reach.
+    """
+    grammar = _grammar(tries)
+    bound = getattr(state, "_view", None)
+    if bound is not None and bound[0] is tries and bound[1] is span_trie:
+        return grammar, bound[2], bound[3]
+    here = grammar.start_empty if span_trie.is_empty else grammar.start
+    node, span = None, ()
+    # the end sentinel is not kept in tokens
+    for token in (state.tokens + (EOS,)) if state.done else state.tokens:
+        if here.tokens is None or token not in here.tokens and not (node and token in node):
+            raise DecodeError(f"{state!r} is not a state its tokens lead to")
+        here, node, span = _move(grammar, span_trie.root, here, node, span, token)
+    if here.as_view(state.tokens, span) != state:
+        raise DecodeError(f"{state!r} is not a state its tokens lead to")
+    object.__setattr__(state, "_view", (tries, span_trie, here, node))
+    return grammar, here, node
 
 
 def candidate_vocab(
@@ -317,7 +377,8 @@ def candidate_vocab(
     input supports at least one span, and arguments are only opened for
     event types that permit at least one role.
     """
-    return _legal(_view(state, tries, span_trie)[1])
+    _, here, node = _view(state, tries, span_trie)
+    return _legal(here, node)
 
 
 def step(
@@ -331,18 +392,19 @@ def step(
     token takes over.  This mirrors how ``delinearize`` reads sequences
     back, so decoder and parser always agree on label boundaries.
     """
-    automaton, here = _view(state, tries, span_trie)
-    if token not in _legal(here):
+    grammar, here, node = _view(state, tries, span_trie)
+    # a grammar token (``_legal`` raises once generation has ended) or a
+    # mention token, checked without building the legal set
+    if token not in _legal(here, None) and not (node and token in node):
         raise DecodeError(
             f"token {token!r} is not in the candidate vocabulary "
             f"(phase {state.phase.value}, depth {state.depth})"
         )
-    nxt = here.next.get(token)
-    here = automaton.states[nxt] if nxt is not None else automaton.advance(here, token)
+    here, node, span = _move(grammar, span_trie.root, here, node, state.partial_span, token)
     # the end sentinel is not part of the linearized body
-    tokens = state.tokens if here is automaton.end else state.tokens + (token,)
-    out = here.as_view(tokens)
-    object.__setattr__(out, "_view", (automaton, here))
+    tokens = state.tokens if here is grammar.end else state.tokens + (token,)
+    out = here.as_view(tokens, span)
+    object.__setattr__(out, "_view", (tries, span_trie, here, node))
     return out
 
 
@@ -390,27 +452,41 @@ def constrained_decode(
     log-probability, ties going to the lexicographically smallest prefix,
     and compares finished hypotheses the same way, without length
     normalization; it scores every legal continuation first and advances
-    the automaton only for the survivors.  The two differ even at width
-    1: once a step has probability zero every beam score is -inf, so
-    beam falls back to token order while greedy still follows the
-    current step's probabilities.  The label tries come from
-    ``schema.tries``, built once per schema object.  Raises
-    TruncationError when ``max_length`` is hit before the end sentinel.
+    only the survivors.  The two differ even at width 1: once a step has
+    probability zero every beam score is -inf, so beam falls back to
+    token order while greedy still follows the current step's
+    probabilities.  The grammar comes from ``schema.tries``, built once
+    per schema object, and is compiled once for it; only the span trie
+    of ``inp`` is built per call, and only for a constrained decode.
+    Raises TruncationError when ``max_length`` is hit before the end
+    sentinel.
     """
     config = config or DecodeConfig()
-    span_trie = build_span_trie(inp, max_span_len)
     if not config.constrained:
+        check_max_span_len(max_span_len)
         return _greedy_unconstrained(scorer, inp, config)
-    automaton = _Automaton(schema.tries, span_trie)
+    span_trie = build_span_trie(inp, max_span_len)
+    grammar = _grammar(schema.tries)
     if config.mode == "greedy":
-        return _greedy(scorer, inp, automaton, config)
-    return _beam(scorer, inp, automaton, config)
+        return _greedy(scorer, inp, grammar, span_trie, config)
+    return _beam(scorer, inp, grammar, span_trie, config)
+
+
+def _raise_first_bad(dist: Mapping[str, float], state: _State, node) -> None:
+    """Raise for the first token, in ``candidate_vocab`` order, whose
+    score is non-finite or negative; the search loops call this once
+    they have seen such a score."""
+    for token in _legal(state, node):
+        _checked_prob(dist, token)
 
 
 def _greedy(
-    scorer: Scorer, inp: TokenizedInput, automaton: _Automaton, config: DecodeConfig
+    scorer: Scorer, inp: TokenizedInput, grammar: _Grammar, span_trie: SpanTrie,
+    config: DecodeConfig,
 ) -> DecodeResult:
-    state, end, states = automaton.start, automaton.end, automaton.states
+    states, end, root = grammar.states, grammar.end, span_trie.root
+    state = grammar.start_empty if span_trie.is_empty else grammar.start
+    node = None
     prefix: list[str] = [BOS]
     logprobs: list[float] = []
     while state is not end:
@@ -419,17 +495,30 @@ def _greedy(
                 f"no end sentinel within max_length={config.max_length} tokens"
             )
         dist = scorer.next_distribution(inp, tuple(prefix))
-        # the smallest (-p, token), checking every candidate in set order
-        chosen, best = None, -1.0
-        for token in state.legal:
+        # the smallest (-p, token) over the grammar tokens, then the
+        # mention tokens; a mention token equal to a label token never
+        # beats it, so the label goes on, as in step
+        chosen, best, copied = None, -1.0, False
+        for token in state.tokens:
             p = dist.get(token, 0.0)
             if not 0.0 <= p < inf:  # also false for NaN
-                _checked_prob(dist, token)  # raises, naming the token
+                _raise_first_bad(dist, state, node)
             if p > best or (p == best and token < chosen):
                 chosen, best = token, p
+        if node:
+            for token in node:
+                p = dist.get(token, 0.0)
+                if not 0.0 <= p < inf:
+                    _raise_first_bad(dist, state, node)
+                if p > best or (p == best and token < chosen):
+                    chosen, best, copied = token, p, True
         logprobs.append(log(best) if best > 0.0 else -inf)
-        nxt = state.next.get(chosen)
-        state = states[nxt] if nxt is not None else automaton.advance(state, chosen)
+        if copied:
+            state, node = states[state.span_next], node[chosen]
+        else:
+            nxt = state.next.get(chosen)
+            state = states[nxt] if nxt is not None else grammar.advance(state, chosen)
+            node = root if state.span_next is not None else None
         prefix.append(chosen)
     # drop the sentinels
     return DecodeResult(tuple(prefix[1:-1]), tuple(logprobs))
@@ -458,13 +547,15 @@ def _greedy_unconstrained(
 
 
 class _Hyp:
-    """A beam hypothesis; its log-probabilities are read back through
-    ``parent`` links, so extending one copies no history."""
+    """A beam hypothesis at a decode position (grammar state and span
+    node); its log-probabilities are read back through ``parent`` links,
+    so extending one copies no history."""
 
-    __slots__ = ("state", "prefix", "score", "logprob", "parent")
+    __slots__ = ("state", "node", "prefix", "score", "logprob", "parent")
 
-    def __init__(self, state, prefix, score=0.0, logprob=0.0, parent=None):
+    def __init__(self, state, node, prefix, score=0.0, logprob=0.0, parent=None):
         self.state = state
+        self.node = node
         self.prefix = prefix
         # ((0.0 + lp1) + lp2) + ..., kept as the hypothesis grows
         self.score = score
@@ -481,10 +572,12 @@ class _Hyp:
 
 
 def _beam(
-    scorer: Scorer, inp: TokenizedInput, automaton: _Automaton, config: DecodeConfig
+    scorer: Scorer, inp: TokenizedInput, grammar: _Grammar, span_trie: SpanTrie,
+    config: DecodeConfig,
 ) -> DecodeResult:
-    end, states = automaton.end, automaton.states
-    live = [_Hyp(automaton.start, (BOS,))]
+    states, end, root = grammar.states, grammar.end, span_trie.root
+    start = grammar.start_empty if span_trie.is_empty else grammar.start
+    live = [_Hyp(start, None, (BOS,))]
     completed: list[_Hyp] = []
     while live:
         if completed:
@@ -501,20 +594,35 @@ def _beam(
         scored = []
         for i, hyp in enumerate(live):
             dist = scorer.next_distribution(inp, hyp.prefix)
-            score, prefix = hyp.score, hyp.prefix
-            for token in hyp.state.legal:
+            score, prefix, state, node = hyp.score, hyp.prefix, hyp.state, hyp.node
+            tokens = state.tokens
+            for token in tokens:
                 p = dist.get(token, 0.0)
                 if not 0.0 <= p < inf:  # also false for NaN
-                    _checked_prob(dist, token)  # raises, naming the token
+                    _raise_first_bad(dist, state, node)
                 lp = log(p) if p > 0.0 else -inf
                 scored.append((-(score + lp), prefix, token, i, lp))
+            if node:
+                for token in node:
+                    if token in tokens:
+                        continue  # a label token, scored above: the label goes on
+                    p = dist.get(token, 0.0)
+                    if not 0.0 <= p < inf:
+                        _raise_first_bad(dist, state, node)
+                    lp = log(p) if p > 0.0 else -inf
+                    scored.append((-(score + lp), prefix, token, i, lp))
         parents = live
         live = []
         for neg_score, prefix, token, i, lp in heapq.nsmallest(config.beam_width, scored):
             parent = parents[i]
-            nxt = parent.state.next.get(token)
-            state = states[nxt] if nxt is not None else automaton.advance(parent.state, token)
-            hyp = _Hyp(state, prefix + (token,), -neg_score, lp, parent)
+            state = parent.state
+            if token in state.tokens:
+                nxt = state.next.get(token)
+                state = states[nxt] if nxt is not None else grammar.advance(state, token)
+                node = root if state.span_next is not None else None
+            else:
+                state, node = states[state.span_next], parent.node[token]
+            hyp = _Hyp(state, node, prefix + (token,), -neg_score, lp, parent)
             if state is end:
                 completed.append(hyp)
             else:

@@ -234,7 +234,11 @@ class LabelTrie:
 
 @dataclass(frozen=True)
 class SchemaTries:
-    """The label tries a decoder walks: one for types, one per type for roles."""
+    """The label tries a decoder walks: one for types, one per type for roles.
+
+    The decoder compiles its grammar from these tries once, on first use,
+    and keeps it on this object outside the fields (see ``decoder``).
+    """
 
     type_trie: LabelTrie
     role_tries: Mapping[str, LabelTrie]

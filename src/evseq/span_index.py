@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .tokens import RESERVED_TOKENS
 
@@ -74,6 +74,12 @@ def token_strings(text: str) -> tuple[str, ...]:
     return tuple(_TOKEN_RE.findall(text))
 
 
+def check_max_span_len(max_span_len: int) -> None:
+    """Raise ValueError unless spans of ``max_span_len`` tokens can be copied."""
+    if max_span_len < 1:
+        raise ValueError(f"max_span_len must be >= 1, got {max_span_len}")
+
+
 class SpanTrie:
     """Trie over the contiguous token subsequences of one input sentence.
 
@@ -81,14 +87,12 @@ class SpanTrie:
     the input, so there is no separate terminal marker: a span may
     always end once at least one token has been consumed.  Paths are
     capped at ``max_span_len`` tokens and never cross a reserved token.
-    Callers name a node by its span (``children``, ``is_span``): the
-    nodes, nested token→child dicts, are private to this module, so the
-    decoder keys its mention states on span values.
+    Callers name a node by its span (``children``, ``is_span``) or walk
+    the nodes down from ``root``; only this module builds them.
     """
 
     def __init__(self, tokens: Sequence[str], max_span_len: int = DEFAULT_MAX_SPAN_LEN):
-        if max_span_len < 1:
-            raise ValueError(f"max_span_len must be >= 1, got {max_span_len}")
+        check_max_span_len(max_span_len)
         self.max_span_len = max_span_len
         self.tokens = tuple(tokens)
         self._root: dict = {}
@@ -98,6 +102,13 @@ class SpanTrie:
                 if token in RESERVED_TOKENS:
                     break
                 node = node.setdefault(token, {})
+
+    @property
+    def root(self) -> Mapping[str, Mapping]:
+        """The root node, read-only.  A node maps each token that extends
+        its span to the child node, so ``root[t1][t2]`` is the node of the
+        span ``(t1, t2)`` and iterating a node gives its ``children``."""
+        return self._root
 
     @property
     def is_empty(self) -> bool:

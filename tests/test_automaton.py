@@ -7,6 +7,8 @@ ladder in ``oracles`` checks the decoder's grammar.
 
 import gc
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from evseq import (
     DecodeResult,
     DecodeState,
     Phase,
+    RandomScorer,
     SchemaTries,
     TokenizedInput,
     TruncationError,
@@ -30,6 +33,7 @@ from evseq import (
     candidate_vocab,
     constrained_decode,
     decoding_vocab,
+    oracle_scorer,
     parse_schema,
     split_label,
     step,
@@ -123,19 +127,92 @@ def test_a_looping_greedy_decode_computes_its_transitions_once(monkeypatch, max_
     inp = TokenizedInput.from_tokens(["Money", "paid", "x"])
     scorer = UniformScorer(decoding_vocab(schema, inp))
     computed = []
-    advance = evseq.decoder._Automaton.advance
+    advance = evseq.decoder._Grammar.advance
 
     def counting(self, state, token):
         computed.append((state.phase, token))
         return advance(self, state, token)
 
-    monkeypatch.setattr(evseq.decoder._Automaton, "advance", counting)
+    monkeypatch.setattr(evseq.decoder._Grammar, "advance", counting)
     with pytest.raises(TruncationError):
         constrained_decode(scorer, inp, schema, DecodeConfig(max_length=max_length))
-    # "( ( Transfer Money Money ( Giver Money )" takes nine transitions,
-    # the next "(" a tenth (to a role-label state already compiled); from
-    # there "Giver Money ) (" repeats, every step a lookup
-    assert len(computed) == 10
+    # "( ( Transfer Money Money ( Giver Money )" takes seven grammar
+    # transitions (a copied mention token steps to the state's span_next,
+    # no transition), the next "(" an eighth (to a role-label state
+    # already compiled); from there "Giver Money ) (" repeats, every
+    # grammar step a lookup
+    assert len(computed) == 8
+
+
+def _transitions(grammar):
+    return [(s.phase, s.current, dict(s.next), s.span_next) for s in grammar.states]
+
+
+@pytest.mark.parametrize("config", [
+    DecodeConfig(),
+    DecodeConfig(mode="beam", beam_width=3),
+])
+def test_inputs_share_the_grammar_of_their_schema(config):
+    # the grammar depends on the schema tries alone: a second input whose
+    # decode takes the same grammar steps compiles no state and no
+    # transition, and leaves the first decode's transitions as they were
+    schema = parse_schema("Transfer-Money: Giver, Recipient\nTransfer-Ownership: Buyer")
+    walks = [
+        ("Money paid x", "( ( Transfer Money paid ( Giver x ) ) )"),
+        ("Ownership was sold to y", "( ( Transfer Money sold ( Giver y ) ) )"),
+    ]
+    for i, (text, target) in enumerate(walks):
+        inp = TokenizedInput.from_tokens(text.split())
+        scorer = oracle_scorer(tuple(target.split()), 0.1, decoding_vocab(schema, inp))
+        assert constrained_decode(scorer, inp, schema, config).tokens == tuple(target.split())
+        if i == 0:
+            grammar = evseq.decoder._grammar(schema.tries)
+            compiled = _transitions(grammar)
+    assert evseq.decoder._grammar(schema.tries) is grammar
+    assert _transitions(grammar) == compiled
+
+
+def test_threads_compiling_one_grammar_agree_with_a_single_thread():
+    # decoders on several threads compile states of one fresh grammar at
+    # once; a state's id must stay its index, or a transition would lead
+    # to another state
+    schema_text = "A-B: R, S\nA-C: R\nA: S, T-U\nD-E-F: R\nD:"
+    rng = random.Random(5)
+    inputs = [
+        TokenizedInput.from_tokens([rng.choice(["x", "y", "A", "B", "T"]) for _ in range(5)])
+        for _ in range(40)
+    ]
+
+    def decode_all(schema, out):
+        for seed, inp in enumerate(inputs):
+            scorer = RandomScorer(decoding_vocab(schema, inp), seed=seed)
+            out.append(_decode_or_none(scorer, inp, schema))
+
+    want: list = []
+    decode_all(parse_schema(schema_text), want)
+    schema = parse_schema(schema_text)
+    outs: list[list] = [[] for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=decode_all, args=(schema, out)) for out in outs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(out == want for out in outs)
+    grammar = evseq.decoder._grammar(schema.tries)
+    assert sorted(grammar._ids.values()) == list(range(len(grammar.states)))
+
+
+def _decode_or_none(scorer, inp, schema):
+    try:
+        return constrained_decode(scorer, inp, schema, DecodeConfig(max_length=40))
+    except TruncationError:
+        return None
 
 
 @pytest.mark.parametrize("config", [

@@ -251,3 +251,39 @@ def test_fuzz_small_run_is_clean(capsys, schema_file):
     code, out, _ = run(capsys, "fuzz", schema_file, "--seeds", "25")
     assert code == 0
     assert out.strip() == "decodes: 25, violations: 0, truncated: 0"
+
+
+@pytest.mark.parametrize("argv", [
+    ("decode", "--beam", "-2"),
+    ("decode", "--max-len", "3"),
+    ("decode", "--max-span-len", "0"),
+    ("fuzz", "--seeds", "-1"),
+    ("fuzz", "--max-len", "3"),
+    ("fuzz", "--max-span-len", "0"),
+])
+def test_out_of_range_options_are_usage_errors(capsys, tmp_path, schema_file, argv):
+    # rejected before any file is read, even for an empty inputs file
+    command, *option = argv
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    files = [str(empty), schema_file, str(tmp_path / "no-scorer.json")]
+    if command == "fuzz":
+        files = [schema_file]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *files, *option])
+    assert exc.value.code == 2
+    assert f"argument {option[0]}: must be >= " in capsys.readouterr().err
+
+
+def test_smallest_in_range_options_are_accepted(capsys, tmp_path, schema_file):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    scorer = tmp_path / "scorer.json"
+    save_scorer(train_ngram([(TokenizedInput.from_tokens(["a"]), ("(", ")"))]), scorer)
+    code, out, _ = run(capsys, "decode", str(empty), schema_file, str(scorer),
+                       "--beam", "0", "--max-len", "4", "--max-span-len", "1")
+    assert (code, out) == (0, "")
+    code, out, _ = run(capsys, "fuzz", schema_file, "--seeds", "0", "--max-len", "4",
+                       "--max-span-len", "1")
+    assert code == 0
+    assert out.strip() == "decodes: 0, violations: 0, truncated: 0"

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import types
 
 import pytest
@@ -35,6 +36,7 @@ from evseq import (
     train_ngram,
     uniform_scorer,
 )
+import evseq.decoder
 from evseq.decoder import BatchDecodeError
 
 from oracles import (
@@ -402,6 +404,24 @@ def test_unconstrained_output_may_not_parse(fig_schema, fig_input):
         delinearize(free.tokens, fig_schema)
 
 
+def test_unconstrained_decode_builds_no_span_trie(monkeypatch, fig_schema, fig_input, fig_seq):
+    def fail(*args):
+        raise AssertionError("the unconstrained path built a span trie")
+
+    monkeypatch.setattr(evseq.decoder, "build_span_trie", fail)
+    free = constrained_decode(
+        oracle_scorer(fig_seq), fig_input, fig_schema, DecodeConfig(constrained=False)
+    )
+    assert free.tokens == tuple(fig_seq)
+
+
+@pytest.mark.parametrize("constrained", [True, False])
+def test_decode_rejects_a_span_cap_below_one(fig_schema, fig_input, fig_seq, constrained):
+    config = DecodeConfig(constrained=constrained)
+    with pytest.raises(ValueError, match=r"^max_span_len must be >= 1, got 0$"):
+        constrained_decode(oracle_scorer(fig_seq), fig_input, fig_schema, config, max_span_len=0)
+
+
 def test_all_zero_distribution_still_respects_grammar(tiny_schema):
     empty = TokenizedInput.from_text("")
     result = constrained_decode(EmptyScorer(), empty, tiny_schema)
@@ -619,6 +639,40 @@ def test_bad_value_on_a_later_non_chosen_token_names_it(mode, value, bad):
     first_bad = next(t for t in candidate_vocab(state, tries, span_trie) if t in bad)
     with pytest.raises(DecodeError, match=f"for {first_bad!r}: "):
         constrained_decode(LateBadScorer(value, bad), inp, THREE_TYPES, config)
+
+
+class MentionBadScorer:
+    """Walks ``walk``, then puts ``value`` on the ``bad`` tokens next to
+    a good ")" and a good "x"."""
+
+    def __init__(self, walk, value, bad):
+        self.walk, self.value, self.bad = walk, value, bad
+
+    def next_distribution(self, inp, prefix):
+        if len(prefix) <= len(self.walk):
+            return {self.walk[len(prefix) - 1]: 1.0}
+        return {CLOSE: 0.5, "x": 0.5, **dict.fromkeys(self.bad, self.value)}
+
+
+@pytest.mark.parametrize("mode", ["greedy", "beam"])
+@pytest.mark.parametrize("value", [float("nan"), -0.25])
+@pytest.mark.parametrize("walk, bad", [
+    # the span root: every input token is legal, no structure token is
+    ((OPEN, OPEN, "A"), ("y", "z")),
+    ((OPEN, OPEN, "A"), ("y", "w")),
+    ((OPEN, OPEN, "A"), ("z", "w")),
+    # inside the span "x": its next tokens, ")" and "(" are legal
+    ((OPEN, OPEN, "A", "x"), ("y", "z")),
+    ((OPEN, OPEN, "A", "x"), ("y", CLOSE)),
+    ((OPEN, OPEN, "A", "x"), ("z", OPEN)),
+])
+def test_bad_value_at_a_mention_position_names_the_first_bad_token(mode, value, walk, bad):
+    inp = TokenizedInput.from_tokens(["x", "y", "x", "z", "w"])
+    config = DecodeConfig(mode=mode, beam_width=2)
+    state, tries, span_trie = replay(walk, THREE_TYPES, inp)
+    first_bad = next(t for t in candidate_vocab(state, tries, span_trie) if t in bad)
+    with pytest.raises(DecodeError, match=f"for {re.escape(repr(first_bad))}: "):
+        constrained_decode(MentionBadScorer(walk, value, bad), inp, THREE_TYPES, config)
 
 
 class SecondStepScorer:

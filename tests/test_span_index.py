@@ -117,6 +117,17 @@ def test_span_trie_matches_brute_force(tokens, max_span_len):
         assert trie.is_span(span)
 
 
+@given(st.lists(WORDS, max_size=10), st.integers(min_value=1, max_value=4))
+def test_span_trie_root_walk_agrees_with_children(tokens, max_span_len):
+    trie = SpanTrie(tuple(tokens), max_span_len)
+    assert trie.is_empty == (not trie.root)
+    for span in [(), *trie.spans()]:
+        node = trie.root
+        for token in span:
+            node = node[token]
+        assert frozenset(node) == trie.children(span)
+
+
 def test_span_trie_matches_brute_force_large_random():
     rng = random.Random(7)
     for _ in range(25):
