@@ -31,6 +31,19 @@ a running score, every legal token is scored as that score plus its
 log-probability, and only the ``beam_width`` survivors are stepped.
 Greedy search is kept separate from beam width 1 because the two break
 ties differently (see ``constrained_decode``).
+
+A scorer may declare ``context_size``, the number of trailing prefix
+tokens its distributions read besides the input.  Each greedy step is
+then a deterministic function of the triple (grammar state, span-trie
+node, last ``context_size`` tokens): the triple fixes the distribution,
+hence the chosen token, hence the next triple.  So once a triple
+repeats, the decode is in a cycle, and since the end state stops the
+loop, no triple in the cycle is the end: the decode could only run on
+to ``max_length``.  Greedy raises that ``TruncationError``, with the
+same message, at the first repeat.  Beam search does not stop early: a
+hypothesis's accumulated score is part of its state, and it never
+repeats, and unconstrained greedy decoding always runs to
+``max_length``.
 """
 
 from __future__ import annotations
@@ -73,6 +86,13 @@ class Scorer(Protocol):
     be non-negative, finite, and sum to 1 within tolerance.  The mapping
     is read-only to the caller and may be shared between calls, so a
     scorer can return one memoized dict for many prefixes.
+
+    A scorer may also declare a read-only ``context_size``, a
+    non-negative int: its distributions depend on the input and on at
+    most that many trailing prefix tokens (the whole prefix while it is
+    shorter), and on nothing else, so greedy decoding can stop at a
+    repeated step (see the module docstring).  A scorer that reads the
+    whole prefix declares nothing.
     """
 
     def next_distribution(
@@ -459,17 +479,34 @@ def constrained_decode(
     per schema object, and is compiled once for it; only the span trie
     of ``inp`` is built per call, and only for a constrained decode.
     Raises TruncationError when ``max_length`` is hit before the end
-    sentinel.
+    sentinel, or, in constrained greedy mode, already at the first
+    repeated step of a scorer that declares ``context_size``; ValueError
+    for a declared ``context_size`` that is not a non-negative int.
     """
     config = config or DecodeConfig()
+    context = _context_size(scorer)
     if not config.constrained:
         check_max_span_len(max_span_len)
         return _greedy_unconstrained(scorer, inp, config)
     span_trie = build_span_trie(inp, max_span_len)
     grammar = _grammar(schema.tries)
     if config.mode == "greedy":
-        return _greedy(scorer, inp, grammar, span_trie, config)
+        return _greedy(scorer, inp, grammar, span_trie, config, context)
     return _beam(scorer, inp, grammar, span_trie, config)
+
+
+def _context_size(scorer: Scorer) -> int | None:
+    """The scorer's declared ``context_size``, or None if it declares none."""
+    size = getattr(scorer, "context_size", None)
+    if size is not None and (not isinstance(size, int) or isinstance(size, bool) or size < 0):
+        raise ValueError(
+            f"{type(scorer).__name__}.context_size must be a non-negative int, got {size!r}"
+        )
+    return size
+
+
+def _truncated(config: DecodeConfig) -> TruncationError:
+    return TruncationError(f"no end sentinel within max_length={config.max_length} tokens")
 
 
 def _raise_first_bad(dist: Mapping[str, float], state: _State, node) -> None:
@@ -482,19 +519,25 @@ def _raise_first_bad(dist: Mapping[str, float], state: _State, node) -> None:
 
 def _greedy(
     scorer: Scorer, inp: TokenizedInput, grammar: _Grammar, span_trie: SpanTrie,
-    config: DecodeConfig,
+    config: DecodeConfig, context: int | None,
 ) -> DecodeResult:
     states, end, root = grammar.states, grammar.end, span_trie.root
     state = grammar.start_empty if span_trie.is_empty else grammar.start
     node = None
     prefix: list[str] = [BOS]
     logprobs: list[float] = []
+    # (state, id(node), last `context` tokens) of every step taken so far
+    seen = None if context is None else set()
     while state is not end:
         if len(prefix) >= config.max_length:
-            raise TruncationError(
-                f"no end sentinel within max_length={config.max_length} tokens"
-            )
-        dist = scorer.next_distribution(inp, tuple(prefix))
+            raise _truncated(config)
+        query = tuple(prefix)
+        if seen is not None:
+            key = (state, id(node), query[-context:] if context else ())
+            if key in seen:  # a cycle that never reaches the end
+                raise _truncated(config)
+            seen.add(key)
+        dist = scorer.next_distribution(inp, query)
         # the smallest (-p, token) over the grammar tokens, then the
         # mention tokens; a mention token equal to a label token never
         # beats it, so the label goes on, as in step
@@ -532,9 +575,7 @@ def _greedy_unconstrained(
     logprobs: list[float] = []
     while True:
         if len(prefix) >= config.max_length:
-            raise TruncationError(
-                f"no end sentinel within max_length={config.max_length} tokens"
-            )
+            raise _truncated(config)
         dist = scorer.next_distribution(inp, tuple(prefix))
         if not dist:
             raise DecodeError("scorer returned an empty distribution")

@@ -14,8 +14,7 @@ import hashlib
 import json
 import random
 from functools import reduce
-from itertools import repeat
-from operator import add, truediv
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .schema import EventSchema
@@ -39,6 +38,11 @@ class UniformScorer:
         if not self.vocab:
             raise ValueError("uniform scorer needs a non-empty vocabulary")
         self._dist = {token: 1.0 / len(self.vocab) for token in self.vocab}
+
+    @property
+    def context_size(self) -> int:
+        """0: the distribution reads no prefix token."""
+        return 0
 
     def next_distribution(
         self, inp: TokenizedInput, prefix: Sequence[str]
@@ -140,9 +144,11 @@ class NgramScorer:
     context with any counts, backing off one order at a time down to the
     unigram table.  Scores are (count + α), multiplied by ``copy_boost``
     for tokens present in the current input sentence, then normalized
-    over the training vocabulary extended with the input tokens.  For
-    the input queried last, each backoff table's distribution is built
-    once and then returned again as the same dict.
+    over the training vocabulary extended with the input tokens.  A
+    distribution thus reads the input and at most ``order - 1`` trailing
+    prefix tokens, which ``context_size`` declares.  For the input
+    queried last, each backoff table's distribution is built once and
+    then returned again as the same dict.
     """
 
     def __init__(
@@ -166,11 +172,17 @@ class NgramScorer:
         # extra_vocab admits tokens never seen in training (smoothing
         # still gives them mass), e.g. label tokens of a schema
         self.vocab = frozenset(counts.get(1, {}).get((), {})) | frozenset(extra_vocab)
-        # (input token set, its support, the indices of its input tokens,
-        # its memo) for the input decoded last; the memo maps id(table) to
-        # (table, normalized dict), the table kept so that its id cannot
-        # be reused
-        self._support_cache: tuple[frozenset[str], list, list, dict] | None = None
+        # (input token set, its support, its token -> index map, its input
+        # tokens with their indices, its memo) for the input decoded last;
+        # the memo maps id(table) to (table, normalized dict), the table
+        # kept so that its id cannot be reused
+        self._support_cache: tuple[frozenset[str], list, dict, list, dict] | None = None
+
+    @property
+    def context_size(self) -> int:
+        """``order - 1``: the most trailing prefix tokens a distribution
+        reads (the whole prefix while it is shorter)."""
+        return self.order - 1
 
     def _table(self, prefix: Sequence[str]) -> Mapping[str, int]:
         k = min(self.order, len(prefix) + 1)
@@ -182,40 +194,58 @@ class NgramScorer:
             k -= 1
         return self.counts.get(1, {}).get((), {})
 
-    def _support(self, input_tokens: frozenset[str]) -> tuple[list, list, dict]:
-        """Sorted ``vocab | input_tokens``, the indices of its input
-        tokens, and the memo of distributions for that input; kept for
-        the last input token set seen, since a decode asks for one input
-        many times in a row."""
+    def _support(self, input_tokens: frozenset[str]) -> tuple[list, dict, list, dict]:
+        """Sorted ``vocab | input_tokens``, its token -> index map, the
+        input tokens with their indices, and the memo of distributions for
+        that input; kept for the last input token set seen, since a decode
+        asks for one input many times in a row."""
         cached = self._support_cache
         if cached is None or (
             cached[0] is not input_tokens and cached[0] != input_tokens
         ):
             support = sorted(self.vocab | input_tokens)
-            copied = [i for i, t in enumerate(support) if t in input_tokens]
-            cached = self._support_cache = (input_tokens, support, copied, {})
-        return cached[1], cached[2], cached[3]
+            index = {token: i for i, token in enumerate(support)}
+            copied = [(index[token], token) for token in input_tokens]
+            cached = self._support_cache = (input_tokens, support, index, copied, {})
+        return cached[1:]
 
     def next_distribution(
         self, inp: TokenizedInput, prefix: Sequence[str]
     ) -> Mapping[str, float]:
         """The distribution after ``prefix``; every prefix that backs off
         to the same table gets the same dict object, so callers must not
-        modify it."""
+        modify it.
+
+        Each score is (count + α) × boost, and a token the table does not
+        count scores 0 + α == α, so the scores start at α and only the
+        table's tokens and the input's tokens are written.  They are
+        summed left to right (not with sum(), which rounds differently
+        from Python 3.12 on) and divided by the sum; every token neither
+        counted nor copied gets α / total, the very float its own score
+        over the total would give.
+        """
         table = self._table(prefix)
-        support, copied, memo = self._support(inp.token_set)
+        support, index, copied, memo = self._support(inp.token_set)
         hit = memo.get(id(table))
         if hit is not None:
             return hit[1]
-        # (count + alpha) * boost per token, summed left to right and
-        # divided by the sum; not sum(), which rounds differently from
-        # Python 3.12 on
-        scores = list(map(add, map(table.get, support, repeat(0)), repeat(self.alpha)))
+        alpha = self.alpha
+        scores = [alpha] * len(support)
+        counted = []
+        for token, count in table.items():
+            i = index.get(token)
+            if i is not None:  # a count outside the support is ignored
+                scores[i] = count + alpha
+                counted.append((i, token))
         boost = self.copy_boost
-        for i in copied:
+        for i, _ in copied:
             scores[i] *= boost
         total = reduce(add, scores, 0.0)
-        dist = dict(zip(support, map(truediv, scores, repeat(total))))
+        dist = dict.fromkeys(support, alpha / total)
+        for i, token in counted:
+            dist[token] = scores[i] / total
+        for i, token in copied:
+            dist[token] = scores[i] / total
         memo[id(table)] = (table, dist)
         return dist
 

@@ -12,6 +12,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from operator import add, truediv
 from typing import Sequence
 
 from evseq import (
@@ -447,6 +450,29 @@ def _reference_label_step(state, token, tokens, trie, span_phase) -> DecodeState
     return DecodeState(tokens, state.depth, span_phase, (), (token,), current)
 
 
+class Undeclared:
+    """Forwards to a scorer, counting the calls, and declares no
+    ``context_size``, so a greedy decode runs without early stop."""
+
+    def __init__(self, base):
+        self.base = base
+        self.calls = 0
+
+    def next_distribution(self, inp, prefix):
+        self.calls += 1
+        return self.base.next_distribution(inp, prefix)
+
+
+def _ngram_table(scorer, prefix: Sequence[str]) -> dict:
+    """The longest context's count table with any counts, backing off to
+    the unigram table."""
+    for k in range(min(scorer.order, len(prefix) + 1), 1, -1):
+        found = scorer.counts.get(k, {}).get(tuple(prefix[len(prefix) - (k - 1):]))
+        if found:
+            return found
+    return scorer.counts.get(1, {}).get((), {})
+
+
 def reference_ngram_distribution(scorer, inp: TokenizedInput, prefix: Sequence[str]) -> dict:
     """An n-gram distribution by its definition, one token at a time.
 
@@ -455,12 +481,7 @@ def reference_ngram_distribution(scorer, inp: TokenizedInput, prefix: Sequence[s
     (count + alpha), times ``copy_boost`` for input tokens, and the
     scores are divided by their sum taken left to right.
     """
-    table = scorer.counts.get(1, {}).get((), {})
-    for k in range(min(scorer.order, len(prefix) + 1), 1, -1):
-        found = scorer.counts.get(k, {}).get(tuple(prefix[len(prefix) - (k - 1):]))
-        if found:
-            table = found
-            break
+    table = _ngram_table(scorer, prefix)
     scores = {}
     total = 0.0
     for token in sorted(scorer.vocab | set(inp.tokens)):
@@ -470,3 +491,18 @@ def reference_ngram_distribution(scorer, inp: TokenizedInput, prefix: Sequence[s
         scores[token] = s
         total += s
     return {token: s / total for token, s in scores.items()}
+
+
+def reference_next_distribution(scorer, inp: TokenizedInput, prefix: Sequence[str]) -> dict:
+    """An n-gram distribution by the dense formula: the table looked up
+    for every token of sorted ``vocab | input tokens``, alpha added to
+    every count, the input's tokens boosted, the scores summed by a left
+    fold and each divided by the sum, all over the whole support."""
+    table = _ngram_table(scorer, prefix)
+    support = sorted(scorer.vocab | inp.token_set)
+    scores = list(map(add, map(table.get, support, repeat(0)), repeat(scorer.alpha)))
+    for i, token in enumerate(support):
+        if token in inp.token_set:
+            scores[i] *= scorer.copy_boost
+    total = reduce(add, scores, 0.0)
+    return dict(zip(support, map(truediv, scores, repeat(total))))

@@ -39,7 +39,7 @@ from evseq import (
     step,
 )
 
-from oracles import random_schema, reference_candidate_vocab, reference_step
+from oracles import Undeclared, random_schema, reference_candidate_vocab, reference_step
 
 SHARED_PREFIX_SCHEMA = parse_schema(
     "End: Re\nEnd-Position: Re, Place\nTransfer-Money: Giver, Recipient\n"
@@ -122,10 +122,12 @@ def test_views_reject_fields_that_disagree_with_the_tokens(state):
 def test_a_looping_greedy_decode_computes_its_transitions_once(monkeypatch, max_length):
     # Under a uniform scorer greedy takes the smallest legal token, and
     # "(" < ")" < letters: after the trigger it opens an argument, closes
-    # it after one span token, and opens the next one, until max_length.
+    # it after one span token, and opens the next one, until max_length:
+    # the proxy declares no context_size, so greedy does not stop at the
+    # first repeated step.
     schema = parse_schema("Transfer-Money: Giver, Recipient\nTransfer-Ownership: Buyer")
     inp = TokenizedInput.from_tokens(["Money", "paid", "x"])
-    scorer = UniformScorer(decoding_vocab(schema, inp))
+    scorer = Undeclared(UniformScorer(decoding_vocab(schema, inp)))
     computed = []
     advance = evseq.decoder._Grammar.advance
 
@@ -136,6 +138,7 @@ def test_a_looping_greedy_decode_computes_its_transitions_once(monkeypatch, max_
     monkeypatch.setattr(evseq.decoder._Grammar, "advance", counting)
     with pytest.raises(TruncationError):
         constrained_decode(scorer, inp, schema, DecodeConfig(max_length=max_length))
+    assert scorer.calls == max_length - 1
     # "( ( Transfer Money Money ( Giver Money )" takes seven grammar
     # transitions (a copied mention token steps to the state's span_next,
     # no transition), the next "(" an eighth (to a role-label state

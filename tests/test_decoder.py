@@ -40,6 +40,7 @@ import evseq.decoder
 from evseq.decoder import BatchDecodeError
 
 from oracles import (
+    Undeclared,
     enumerate_language,
     random_schema,
     reference_beam,
@@ -609,6 +610,144 @@ def test_greedy_equals_reference_greedy(seed, kind, max_length):
     got = _decode_or_truncate(lambda: constrained_decode(scorer, inp, schema, config))
     want = _decode_or_truncate(lambda: reference_greedy(scorer, inp, schema, config))
     assert got == want  # tokens and logprobs, floats compared with ==
+
+
+class WindowScorer:
+    """A random scorer that reads only the last ``size`` prefix tokens
+    (the whole prefix while it is shorter), and declares so."""
+
+    def __init__(self, vocab, seed, size):
+        self.base = RandomScorer(vocab, seed)
+        self.context_size = size
+
+    def next_distribution(self, inp, prefix):
+        size = self.context_size
+        return self.base.next_distribution(inp, tuple(prefix)[-size:] if size else ())
+
+
+def _result_or_message(decode):
+    try:
+        return decode()
+    except TruncationError as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    kind=st.sampled_from(["ngram", "window", "uniform"]),
+    max_length=st.integers(min_value=4, max_value=60),
+)
+def test_greedy_with_a_declared_context_equals_the_full_search(seed, kind, max_length):
+    # a decode that stops at a repeated step must be one that the search
+    # without early stop truncates, with the same message
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        schema = PREFIX_SCHEMA
+    else:
+        schema = random_schema(rng, max_types=4, max_roles=3)
+    pool = ["x", "y", "z", *(t for name in schema.types for t in split_label(name))]
+
+    def sentence():
+        return TokenizedInput.from_tokens([rng.choice(pool) for _ in range(rng.randint(0, 5))])
+
+    # input tokens outside the pool are outside every vocabulary below
+    inp = TokenizedInput.from_tokens(
+        [rng.choice(pool + ["w", "novel"]) for _ in range(rng.randint(0, 5))]
+    )
+    if kind == "ngram":
+        corpus = []
+        for _ in range(rng.randint(1, 6)):
+            one = sentence()
+            corpus.append((one, random_walk(rng, schema, one, rng.randint(2, 20))))
+        scorer = train_ngram(
+            corpus,
+            n=rng.randint(1, 4),
+            alpha=rng.choice((0.1, 0.37, 1)),
+            copy_boost=rng.choice((1.0, 4.0)),
+            extra_vocab=schema.label_tokens if rng.random() < 0.5 else (),
+        )
+    elif kind == "window":
+        scorer = WindowScorer(decoding_vocab(schema, inp), seed, rng.randint(0, 3))
+    else:
+        scorer = UniformScorer(decoding_vocab(schema, inp))
+    config = DecodeConfig(max_length=max_length)
+    got = _result_or_message(lambda: constrained_decode(scorer, inp, schema, config))
+    want = _result_or_message(lambda: reference_greedy(scorer, inp, schema, config))
+    assert got == want  # tokens and logprobs, floats compared with ==
+
+
+class CountingUniform(UniformScorer):
+    calls = 0
+
+    def next_distribution(self, inp, prefix):
+        self.calls += 1
+        return super().next_distribution(inp, prefix)
+
+
+@pytest.mark.parametrize("max_length", [64, 512])
+def test_a_looping_greedy_decode_stops_at_its_first_repeated_step(max_length):
+    # "( ( Transfer Money Money ( Giver Money ) (" reaches the role label's
+    # state, with no span node, a second time: the eleventh step repeats
+    # the seventh.  Without a declared context the decode runs to
+    # max_length, and so does an unconstrained one, which has no early stop.
+    schema = parse_schema("Transfer-Money: Giver, Recipient\nTransfer-Ownership: Buyer")
+    inp = TokenizedInput.from_tokens(["Money", "paid", "x"])
+    vocab = decoding_vocab(schema, inp)
+    for constrained, calls in ((True, 10), (False, max_length - 1)):
+        config = DecodeConfig(max_length=max_length, constrained=constrained)
+        declared, undeclared = CountingUniform(vocab), Undeclared(UniformScorer(vocab))
+        messages = []
+        for scorer in (declared, undeclared):
+            with pytest.raises(TruncationError) as err:
+                constrained_decode(scorer, inp, schema, config)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == f"no end sentinel within max_length={max_length} tokens"
+        assert (declared.calls, undeclared.calls) == (calls, max_length - 1)
+
+
+class LastTokenScorer:
+    """A fixed distribution per last prefix token."""
+
+    context_size = 1
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def next_distribution(self, inp, prefix):
+        return self.rows[prefix[-1]]
+
+
+def test_a_step_at_another_span_node_is_no_repeat(tiny_schema):
+    # the second "a" and the ")" after it are both chosen in the trigger's
+    # grammar state after an "a", but at two nodes of the span trie
+    rows = {
+        BOS: {OPEN: 1.0},
+        OPEN: {OPEN: 0.6, "T": 0.4},
+        "T": {"a": 1.0},
+        "a": {"a": 0.5, CLOSE: 0.3, "b": 0.2},
+        CLOSE: {CLOSE: 0.7, OPEN: 0.2, EOS: 0.1},
+    }
+    inp = TokenizedInput.from_tokens(["a", "a", "b"])
+    scorer = LastTokenScorer(rows)
+    got = constrained_decode(scorer, inp, tiny_schema)
+    assert got.tokens == (OPEN, OPEN, "T", "a", "a", CLOSE, CLOSE)
+    assert got == reference_greedy(scorer, inp, tiny_schema, DecodeConfig())
+
+
+@pytest.mark.parametrize("size", [True, False, -1, 1.0, 2.5, "2"])
+@pytest.mark.parametrize("config", [
+    DecodeConfig(),
+    DecodeConfig(mode="beam", beam_width=2),
+    DecodeConfig(constrained=False),
+])
+def test_a_context_size_that_is_no_count_is_a_typed_error(tiny_schema, size, config):
+    inp = TokenizedInput.from_tokens(["tok"])
+    scorer = WindowScorer(decoding_vocab(tiny_schema, inp), 0, size)
+    with pytest.raises(ValueError, match=r"^WindowScorer\.context_size must be a non-negative int"):
+        constrained_decode(scorer, inp, tiny_schema, config)
+    scorer.context_size = None  # declares nothing: decodes or truncates
+    _result_or_message(lambda: constrained_decode(scorer, inp, tiny_schema, config))
 
 
 # ------------------------------------------------------------ scorer contract

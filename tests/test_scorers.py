@@ -5,6 +5,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evseq import (
     DecodeConfig,
@@ -26,7 +28,7 @@ from evseq import (
     uniform_scorer,
 )
 
-from oracles import reference_ngram_distribution
+from oracles import reference_next_distribution, reference_ngram_distribution
 
 EMPTY = TokenizedInput.from_text("")
 
@@ -309,6 +311,74 @@ def test_ngram_distributions_equal_the_per_token_definition(fig_schema, alpha, c
             got = scorer.next_distribution(inp, stream[:i])
             want = reference_ngram_distribution(scorer, inp, stream[:i])
             assert list(got.items()) == list(want.items())  # floats with ==
+
+
+# "zz" is counted after "a" but is in no vocabulary: it is in the support
+# only for an input that holds it
+MISS_COUNTS = {
+    1: {(): {"(": 2, ")": 2, "<eos>": 1, "a": 3, "b": 1}},
+    2: {("a",): {"b": 4, "zz": 5, "a": 1}, ("(",): {"a": 2}},
+}
+
+
+@pytest.mark.parametrize("tokens", [
+    (),  # nothing copied
+    ("b", "a"),  # inside the vocabulary, both counted and copied after "a"
+    ("b", "novel"),  # "novel" outside the vocabulary
+    ("zz", "novel"),  # counted after "a", copied, outside the vocabulary
+    ("novel", "words", "("),
+])
+def test_ngram_miss_path_equals_the_dense_formula(tokens):
+    inp = TokenizedInput.from_tokens(tokens)
+    for extra in ((), ("Label",)):
+        scorer = NgramScorer(2, MISS_COUNTS, 0.1, 4.0, extra)
+        for prefix in (("<bos>",), ("<bos>", "a"), ("<bos>", "("), ("<bos>", "zz")):
+            got = scorer.next_distribution(inp, prefix)
+            want = reference_next_distribution(scorer, inp, prefix)
+            assert list(got.items()) == list(want.items())  # floats with ==
+            assert ("zz" in got) == ("zz" in tokens)
+
+
+POOL = ["(", ")", "<eos>", "a", "b", "Cc"]
+OUTSIDE = ["zz", "novel"]
+
+
+def _tables(order):
+    """Count tables of an order: its contexts over the pool and <bos>, its
+    tokens over the pool and, above the unigrams, tokens outside it."""
+    tokens = st.sampled_from(POOL + (OUTSIDE if order > 1 else []))
+    table = st.dictionaries(tokens, st.integers(1, 50), min_size=1, max_size=6)
+    context = st.tuples(*[st.sampled_from(["<bos>"] + POOL)] * (order - 1))
+    return st.dictionaries(context, table, min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    order=st.integers(1, 4),
+    alpha=st.sampled_from([0.1, 0.37, 1e-3, 1, 2.5]),
+    copy_boost=st.sampled_from([1.0, 4.0, 2.5, 3]),
+    extra=st.lists(st.sampled_from(["Label", "zz"]), max_size=2),
+)
+def test_ngram_distributions_equal_the_dense_formula(data, order, alpha, copy_boost, extra):
+    counts = {k: data.draw(_tables(k)) for k in range(1, order + 1)}
+    scorer = NgramScorer(order, counts, alpha, copy_boost, extra)
+    words = st.sampled_from(POOL[3:] + OUTSIDE)
+    for _ in range(4):  # several inputs on one scorer: its caches switch
+        inp = TokenizedInput.from_tokens(data.draw(st.lists(words, max_size=5)))
+        for _ in range(3):
+            prefix = ("<bos>", *data.draw(st.lists(st.sampled_from(POOL + OUTSIDE), max_size=4)))
+            got = scorer.next_distribution(inp, prefix)
+            want = reference_next_distribution(scorer, inp, prefix)
+            assert list(got.items()) == list(want.items())  # floats with ==
+
+
+def test_context_size_is_what_a_distribution_reads():
+    assert [train_ngram(one_item_corpus(), n=n).context_size for n in (1, 2, 3)] == [0, 1, 2]
+    assert uniform_scorer(["a"]).context_size == 0
+    # these read the whole prefix and declare nothing
+    assert not hasattr(oracle_scorer(("(", ")")), "context_size")
+    assert not hasattr(RandomScorer(["a"], 0), "context_size")
 
 
 def test_random_scorer_normalizes_by_a_left_fold():
