@@ -14,7 +14,6 @@ from .codec import (
     EventRecord,
     Mention,
     TreeNode,
-    add_sentinels,
     delinearize,
     linearize,
     strip_sentinels,
@@ -110,7 +109,6 @@ __all__ = [
     "TreeNode",
     "TruncationError",
     "UniformScorer",
-    "add_sentinels",
     "build_span_trie",
     "candidate_vocab",
     "constrained_decode",

@@ -292,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("schema")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--max-events", type=int, default=3)
-    p.add_argument("--max-args", type=int, default=3)
+    p.add_argument("--n", type=_int_at_least(0), default=100)
+    p.add_argument("--max-events", type=_int_at_least(0), default=3)
+    p.add_argument("--max-args", type=_int_at_least(0), default=3)
     p.add_argument("--vocab-file", default=None, help="whitespace-separated word list")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_synth)

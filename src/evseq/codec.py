@@ -19,8 +19,14 @@ records as a labeled tree (``to_tree``) and renders it depth-first
 ``delinearize`` inverts ``linearize`` on well-formed sequences, up to
 the offsets (a surface parse cannot know them).  When a label is a
 token-prefix of another label the boundary between label and mention is
-ambiguous; both this parser and the constrained decoder resolve the tie
-by taking the longest matching label.
+ambiguous.  The parser walks the label trie as far as the tokens go and
+takes the last complete label on that walk, so with the types ``End``
+and ``End-Position-Long`` it reads ``( ( End Position x ) )`` as ``End``
+with the trigger "Position x", and ``linearize`` round-trips that
+record.  The constrained decoder never emits that sequence: a token
+that extends the label goes on with it, so after ``( ( End Position``
+only ``Long`` is legal (see ``decoder.step``).  Every sequence the
+decoder emits parses back to the labels it spelled.
 """
 
 from __future__ import annotations
@@ -105,10 +111,6 @@ def mention_tokens(mention: Mention) -> tuple[str, ...]:
         if tok in RESERVED_TOKENS:
             raise CodecError(f"mention text {text!r} contains reserved token {tok!r}")
     return toks
-
-
-def add_sentinels(tokens: Sequence[str]) -> tuple[str, ...]:
-    return (BOS, *tokens, EOS)
 
 
 def strip_sentinels(tokens: Sequence[str]) -> tuple[str, ...]:

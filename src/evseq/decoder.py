@@ -13,17 +13,19 @@ renormalizes, and scores accumulate in log domain.
 The decoding grammar depends on the schema alone, so it is compiled once
 per ``SchemaTries`` object (``EventSchema.tries`` is one per schema) and
 shared by every sentence, a state→allowed-token index in the manner of
-Willard & Louf (2023).  Its states sit in a list, compiled on first use;
-a state holds its phase, its label-trie node and event type, its legal
-structure and label tokens as a frozenset built once, a token→next-state-id
-table filled on first use, and the id of the state a copied mention token
-leads to.  Transitions are ids, not states, so states never reference
-each other.  Mention tokens are not in the grammar: they are the keys of
-a node of the input's span trie, the only structure built per sentence.
-A decode position is therefore a pair, a grammar state and a span-trie
-node (None where no mention token is legal); a grammar token steps to
-``state.next[token]`` (and the span trie's root, if mention tokens may
-follow), a mention token to ``state.span_next`` and the node's child.  Greedy and beam search walk
+Willard & Louf (2023).  It is compiled in full the first time a decode
+needs it: every reachable state, in a list, with all of its transitions;
+nothing writes to it after that.  A state holds its phase, its
+label-trie node and event type, its legal structure and label tokens as
+a frozenset, a token→next-state-id table, and the id of the state a
+copied mention token leads to.  Transitions are ids, not states, so
+states never reference each other.  Mention tokens are not in the
+grammar: they are the keys of a node of the input's span trie, the only
+structure built per sentence.  A decode position is therefore a pair, a
+grammar state and a span-trie node (None where no mention token is
+legal); a grammar token steps to ``state.next[token]`` (and the span
+trie's root, if mention tokens may follow), a mention token to
+``state.span_next`` and the node's child.  Greedy and beam search walk
 these pairs and keep only the emitted prefix themselves;
 ``DecodeState``, ``candidate_vocab`` and ``step`` are views on the same
 pairs.  Beam search scores before it advances: each live hypothesis keeps
@@ -55,7 +57,6 @@ from enum import Enum
 from functools import reduce
 from math import inf, log
 from operator import add
-from threading import RLock
 from typing import Mapping, Protocol, Sequence
 
 from .schema import EventSchema, SchemaTries
@@ -112,18 +113,6 @@ class Phase(Enum):
     DONE = "done"
 
 
-# The phases as module globals for the automaton's compiler: reading an
-# attribute of an Enum class runs Python code (about 150 ns a read on
-# Python 3.11), reading a module global does not.
-_AWAIT_ROOT, _AWAIT_EVENT, _IN_TYPE_LABEL, _IN_TRIGGER_SPAN, _AWAIT_ARG = (
-    Phase.AWAIT_ROOT, Phase.AWAIT_EVENT, Phase.IN_TYPE_LABEL, Phase.IN_TRIGGER_SPAN,
-    Phase.AWAIT_ARG,
-)
-_IN_ROLE_LABEL, _IN_ARG_SPAN, _AWAIT_END, _DONE = (
-    Phase.IN_ROLE_LABEL, Phase.IN_ARG_SPAN, Phase.AWAIT_END, Phase.DONE,
-)
-
-
 @dataclass(frozen=True)
 class DecodeState:
     """Immutable automaton state after consuming a token prefix.
@@ -165,8 +154,9 @@ class DecodeConfig:
 
 
 _DEPTH = {
-    _AWAIT_ROOT: 0, _AWAIT_EVENT: 1, _IN_TYPE_LABEL: 2, _IN_TRIGGER_SPAN: 2, _AWAIT_ARG: 2,
-    _IN_ROLE_LABEL: 3, _IN_ARG_SPAN: 3, _AWAIT_END: 0, _DONE: 0,
+    Phase.AWAIT_ROOT: 0, Phase.AWAIT_EVENT: 1, Phase.IN_TYPE_LABEL: 2, Phase.IN_TRIGGER_SPAN: 2,
+    Phase.AWAIT_ARG: 2, Phase.IN_ROLE_LABEL: 3, Phase.IN_ARG_SPAN: 3, Phase.AWAIT_END: 0,
+    Phase.DONE: 0,
 }
 
 
@@ -175,12 +165,12 @@ class _State:
 
     It holds the ``DecodeState`` fields other than ``tokens`` and
     ``partial_span``, the label-trie node while a label is spelled out,
-    ``tokens``, its legal grammar tokens (structure and label tokens,
-    built once), and ``next``, the grammar transitions taken so far:
-    token to the next state's id in ``_Grammar.states``.  A state that
-    takes mention tokens from a span-trie node (a mention, or a label
-    that may end here) has ``span_next``, the id of the state a mention
-    token leads to; other states have None.
+    ``tokens``, its legal grammar tokens (structure and label tokens),
+    and ``next``, its grammar transitions: each of ``tokens`` to the next
+    state's id in ``_Grammar.states``.  A state that takes mention tokens
+    from a span-trie node (a mention, or a label that may end here) has
+    ``span_next``, the id of the state a mention token leads to; other
+    states have None.
     """
 
     __slots__ = ("phase", "depth", "label", "current", "node", "empty", "tokens", "next",
@@ -208,15 +198,16 @@ class _Grammar:
     A decode position is a pair: a grammar state, and the span-trie node
     of the mention copied so far (the span trie's root where a mention
     may start, None where no mention token is legal).  Only the states
-    depend on the grammar, so they are compiled on first use into
-    ``states``, a state's id being its index there, and kept for every
-    later input.  They are interned on the identities of their phase and
-    label-trie node, on their event type and on a flag: for a mention,
-    whether it is still empty; at ``AWAIT_ROOT`` and ``AWAIT_EVENT``,
-    whether the input has no span, which forbids opening an event.
-    Compiling takes a lock, so concurrent decoders may share a grammar.
-    The grammar's rules are written here once: ``_compile`` for the
-    grammar tokens of a state and ``advance`` for its transitions.
+    depend on the grammar, so the constructor compiles every state
+    reachable from ``start`` and ``start_empty`` into ``states``, a
+    state's id being its index there, each with all its transitions.
+    States are interned on their phase, the identity of their label-trie
+    node, their event type and a flag: for a mention, whether it is
+    still empty; at ``AWAIT_ROOT`` and ``AWAIT_EVENT``, whether the input
+    has no span, which forbids opening an event.  Nothing writes to a
+    grammar once it is built, so concurrent decoders may share it.  The
+    grammar's rules are written here once: ``_compile`` for the grammar
+    tokens of a state and ``_transition`` for its transitions.
     """
 
     def __init__(self, tries: SchemaTries):
@@ -225,101 +216,93 @@ class _Grammar:
         self.role_tries = tries.role_tries
         self.states: list[_State] = []
         self._ids: dict[tuple, int] = {}
-        self._lock = RLock()
-        self.start = self.states[self._state(_AWAIT_ROOT)]
-        self.start_empty = self.states[self._state(_AWAIT_ROOT, empty=True)]
-        self.end = self.states[self._state(_DONE)]
+        self.start = self.states[self._state(Phase.AWAIT_ROOT)]
+        self.start_empty = self.states[self._state(Phase.AWAIT_ROOT, empty=True)]
+        self.end = self.states[self._state(Phase.DONE)]
+        # the list grows as transitions reach new states; the loop walks those too
+        for state in self.states:
+            for token in state.tokens or ():
+                state.next[token] = self._transition(state, token)
 
     def _state(self, phase, node=None, current=None, empty=False, label=()) -> int:
         """The id of a state, compiled if it is new."""
-        # ids, not the Phase member: an Enum member hashes in Python code
-        key = (id(phase), id(node), current, empty)
+        key = (phase, id(node), current, empty)
         i = self._ids.get(key)
         if i is None:
-            with self._lock:
-                i = self._ids.get(key)
-                if i is None:
-                    i = self._compile(key, phase, node, current, empty, label)
+            i = self._compile(key, phase, node, current, empty, label)
         return i
 
     def _compile(self, key, phase, node, current, empty, label) -> int:
         """Append a new state; its legal tokens are the grammar part of
         ``_legal``, built with the same expressions."""
         span_next = None
-        if phase is _DONE:
+        if phase is Phase.DONE:
             tokens = None
-        elif phase is _AWAIT_ROOT:
+        elif phase is Phase.AWAIT_ROOT:
             tokens = frozenset({OPEN})
-        elif phase is _AWAIT_EVENT:
+        elif phase is Phase.AWAIT_EVENT:
             cands = {CLOSE}
             if not empty:
                 cands.add(OPEN)
             tokens = frozenset(cands)
-        elif phase is _IN_TYPE_LABEL or phase is _IN_ROLE_LABEL:
+        elif phase is Phase.IN_TYPE_LABEL or phase is Phase.IN_ROLE_LABEL:
             tokens = frozenset(set(node.children))
             if node.is_leaf:
                 # the label may end here; a mention token commits it
-                if phase is _IN_TYPE_LABEL:
-                    span_next = self._state(_IN_TRIGGER_SPAN, current=node.label)
+                if phase is Phase.IN_TYPE_LABEL:
+                    span_next = self._state(Phase.IN_TRIGGER_SPAN, current=node.label)
                 else:
-                    span_next = self._state(_IN_ARG_SPAN, current=current)
-        elif phase is _IN_TRIGGER_SPAN or phase is _IN_ARG_SPAN:
+                    span_next = self._state(Phase.IN_ARG_SPAN, current=current)
+        elif phase is Phase.IN_TRIGGER_SPAN or phase is Phase.IN_ARG_SPAN:
             if empty:
                 tokens = frozenset()
                 span_next = self._state(phase, current=current)
             else:
                 cands = {CLOSE}
-                if phase is _IN_TRIGGER_SPAN and not self.role_tries[current].is_empty:
+                if phase is Phase.IN_TRIGGER_SPAN and not self.role_tries[current].is_empty:
                     cands.add(OPEN)
                 tokens = frozenset(cands)
                 span_next = len(self.states)  # this state: the mention goes on
-        elif phase is _AWAIT_ARG:
+        elif phase is Phase.AWAIT_ARG:
             tokens = frozenset({OPEN, CLOSE})
         else:
-            assert phase is _AWAIT_END
+            assert phase is Phase.AWAIT_END
             tokens = frozenset({EOS})
-        # published in _ids once it is in states: readers take no lock
         self.states.append(_State(phase, label, current, node, empty, tokens, span_next))
         i = self._ids[key] = len(self.states) - 1
         return i
 
-    def advance(self, state: _State, token: str) -> _State:
-        """The state after ``token``, one of ``state.tokens`` (label
-        commitment as described in ``step``); computed once, then kept in
-        ``state.next`` by id."""
+    def _transition(self, state: _State, token: str) -> int:
+        """The id of the state after ``token``, one of ``state.tokens``
+        (label commitment as described in ``step``)."""
         phase, current = state.phase, state.current
-        if phase is _IN_TYPE_LABEL or phase is _IN_ROLE_LABEL:
+        if phase is Phase.IN_TYPE_LABEL or phase is Phase.IN_ROLE_LABEL:
             child = state.node.children[token]
             if child.is_leaf and not child.children:
-                if phase is _IN_TYPE_LABEL:
-                    nxt = self._state(_IN_TRIGGER_SPAN, current=child.label, empty=True)
-                else:
-                    nxt = self._state(_IN_ARG_SPAN, current=current, empty=True)
-            else:
-                nxt = self._state(phase, child, current, label=state.label + (token,))
-        elif phase is _AWAIT_ROOT:
-            nxt = self._state(_AWAIT_EVENT, empty=state.empty)
-        elif token == OPEN:
-            if phase is _AWAIT_EVENT:  # an event
-                nxt = self._state(_IN_TYPE_LABEL, self.type_root)
-            else:  # an argument, after the trigger or another argument
-                nxt = self._state(_IN_ROLE_LABEL, self.role_tries[current].root, current)
-        elif token == CLOSE:
-            if phase is _AWAIT_EVENT:  # the root
-                nxt = self._state(_AWAIT_END)
-            elif phase is _IN_ARG_SPAN:  # an argument
-                nxt = self._state(_AWAIT_ARG, current=current)
-            else:  # an event, after its trigger or its last argument
-                nxt = self._state(_AWAIT_EVENT)
-        else:
-            assert phase is _AWAIT_END
-            nxt = self._state(_DONE)
-        state.next[token] = nxt
-        return self.states[nxt]
+                if phase is Phase.IN_TYPE_LABEL:
+                    return self._state(Phase.IN_TRIGGER_SPAN, current=child.label, empty=True)
+                return self._state(Phase.IN_ARG_SPAN, current=current, empty=True)
+            return self._state(phase, child, current, label=state.label + (token,))
+        if phase is Phase.AWAIT_ROOT:
+            return self._state(Phase.AWAIT_EVENT, empty=state.empty)
+        if token == OPEN:
+            if phase is Phase.AWAIT_EVENT:  # an event
+                return self._state(Phase.IN_TYPE_LABEL, self.type_root)
+            # an argument, after the trigger or another argument
+            return self._state(Phase.IN_ROLE_LABEL, self.role_tries[current].root, current)
+        if token == CLOSE:
+            if phase is Phase.AWAIT_EVENT:  # the root
+                return self._state(Phase.AWAIT_END)
+            if phase is Phase.IN_ARG_SPAN:  # an argument
+                return self._state(Phase.AWAIT_ARG, current=current)
+            # an event, after its trigger or its last argument
+            return self._state(Phase.AWAIT_EVENT)
+        assert phase is Phase.AWAIT_END
+        return self._state(Phase.DONE)
 
 
 def _grammar(tries: SchemaTries) -> _Grammar:
-    """The grammar of ``tries``, compiled on first use and kept on it."""
+    """The grammar of ``tries``, built on first use and kept on it."""
     # SchemaTries is frozen, so the grammar goes into its __dict__ (equality
     # and repr read the fields only); setdefault keeps one if two threads race
     kept = vars(tries)
@@ -355,8 +338,7 @@ def _move(grammar: _Grammar, root: Mapping, state: _State, node, span, token: st
     a grammar token first (a label goes on rather than end), else a
     mention token."""
     if token in state.tokens:
-        nxt = state.next.get(token)
-        state = grammar.states[nxt] if nxt is not None else grammar.advance(state, token)
+        state = grammar.states[state.next[token]]
         return state, (root if state.span_next is not None else None), ()
     return grammar.states[state.span_next], node[token], span + (token,)
 
@@ -406,11 +388,14 @@ def step(
 ) -> DecodeState:
     """Advance the automaton by one token; the token must be legal.
 
-    Label commitment is greedy-longest: while the consumed tokens can
-    still extend a longer label, the walk continues; the label is
-    committed when a leaf with no children is reached or when a span
-    token takes over.  This mirrors how ``delinearize`` reads sequences
-    back, so decoder and parser always agree on label boundaries.
+    Label commitment is greedy-longest: a token that extends the label
+    goes on with it, even where a mention token equal to it is legal
+    too; the label is committed when a leaf with no children is reached
+    or when a mention token takes over, which is legal only where the
+    label is complete.  ``delinearize`` reads every sequence this emits
+    back to the same labels, but it also reads some that this never
+    emits: it falls back to the last complete label where its trie walk
+    stops (see ``codec``).
     """
     grammar, here, node = _view(state, tries, span_trie)
     # a grammar token (``_legal`` raises once generation has ended) or a
@@ -559,8 +544,7 @@ def _greedy(
         if copied:
             state, node = states[state.span_next], node[chosen]
         else:
-            nxt = state.next.get(chosen)
-            state = states[nxt] if nxt is not None else grammar.advance(state, chosen)
+            state = states[state.next[chosen]]
             node = root if state.span_next is not None else None
         prefix.append(chosen)
     # drop the sentinels
@@ -658,8 +642,7 @@ def _beam(
             parent = parents[i]
             state = parent.state
             if token in state.tokens:
-                nxt = state.next.get(token)
-                state = states[nxt] if nxt is not None else grammar.advance(state, token)
+                state = states[state.next[token]]
                 node = root if state.span_next is not None else None
             else:
                 state, node = states[state.span_next], parent.node[token]

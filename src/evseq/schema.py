@@ -213,13 +213,6 @@ class LabelTrie:
     def children(self, prefix: Sequence[str]) -> Mapping[str, TrieNode]:
         return self.node(prefix).children
 
-    def lookup(self, tokens: Sequence[str]) -> str | None:
-        """The label completed by exactly ``tokens``, or None."""
-        try:
-            return self.node(tokens).label
-        except KeyError:
-            return None
-
     def paths(self) -> Iterator[tuple[tuple[str, ...], str]]:
         """Yield every (token path, label) pair for nodes marking a label."""
 
@@ -236,7 +229,7 @@ class LabelTrie:
 class SchemaTries:
     """The label tries a decoder walks: one for types, one per type for roles.
 
-    The decoder compiles its grammar from these tries once, on first use,
+    The decoder compiles its whole grammar from these tries on first use
     and keeps it on this object outside the fields (see ``decoder``).
     """
 

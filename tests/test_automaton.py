@@ -9,6 +9,7 @@ import gc
 import random
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -118,37 +119,84 @@ def test_views_reject_fields_that_disagree_with_the_tokens(state):
         step(state, OPEN, tries, span_trie)
 
 
+BENCHMARK_SCHEMA = Path(__file__).resolve().parents[1] / "benchmarks" / "schema.txt"
+
+
+def _check_complete(grammar):
+    """Every state holds a transition for each of its grammar tokens, and
+    every id in the grammar is the index of a state."""
+    n = len(grammar.states)
+    assert sorted(grammar._ids.values()) == list(range(n))
+    for state in grammar.states:
+        assert set(state.next) == set(state.tokens or ())
+        assert all(0 <= i < n for i in state.next.values())
+        assert state.span_next is None or 0 <= state.span_next < n
+
+
+def test_a_built_grammar_holds_every_state_and_transition():
+    schema = parse_schema(BENCHMARK_SCHEMA.read_text(encoding="utf-8"))
+    grammar = evseq.decoder._grammar(schema.tries)
+    _check_complete(grammar)
+    assert len(grammar.states) == 45
+    assert sum(len(state.next) for state in grammar.states) == 67
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_grammars_of_random_schemas_are_complete(seed):
+    rng = random.Random(seed)
+    if seed % 5 == 0:
+        schema = SHARED_PREFIX_SCHEMA
+    else:
+        schema = random_schema(rng, max_types=4, max_roles=3)
+    grammar = evseq.decoder._grammar(SchemaTries.from_schema(schema))
+    _check_complete(grammar)
+    # every state is reachable from the two starts
+    reached = {grammar.start, grammar.start_empty}
+    todo = list(reached)
+    while todo:
+        state = todo.pop()
+        ids = [*state.next.values(), *([state.span_next] if state.span_next is not None else [])]
+        for nxt in (grammar.states[i] for i in ids):
+            if nxt not in reached:
+                reached.add(nxt)
+                todo.append(nxt)
+    assert len(reached) == len(grammar.states)
+
+
 @pytest.mark.parametrize("max_length", [64, 512])
-def test_a_looping_greedy_decode_computes_its_transitions_once(monkeypatch, max_length):
+def test_a_looping_greedy_decode_computes_no_transition(monkeypatch, max_length):
     # Under a uniform scorer greedy takes the smallest legal token, and
     # "(" < ")" < letters: after the trigger it opens an argument, closes
     # it after one span token, and opens the next one, until max_length:
     # the proxy declares no context_size, so greedy does not stop at the
-    # first repeated step.
+    # first repeated step.  The grammar is complete once built, so every
+    # step, greedy, beam or through step, is a lookup.
     schema = parse_schema("Transfer-Money: Giver, Recipient\nTransfer-Ownership: Buyer")
     inp = TokenizedInput.from_tokens(["Money", "paid", "x"])
+    evseq.decoder._grammar(schema.tries)
+
+    def forbidden(*args):
+        raise AssertionError("a decode computed a grammar state or transition")
+
+    monkeypatch.setattr(evseq.decoder._Grammar, "_transition", forbidden)
+    monkeypatch.setattr(evseq.decoder._Grammar, "_compile", forbidden)
     scorer = Undeclared(UniformScorer(decoding_vocab(schema, inp)))
-    computed = []
-    advance = evseq.decoder._Grammar.advance
-
-    def counting(self, state, token):
-        computed.append((state.phase, token))
-        return advance(self, state, token)
-
-    monkeypatch.setattr(evseq.decoder._Grammar, "advance", counting)
     with pytest.raises(TruncationError):
         constrained_decode(scorer, inp, schema, DecodeConfig(max_length=max_length))
     assert scorer.calls == max_length - 1
-    # "( ( Transfer Money Money ( Giver Money )" takes seven grammar
-    # transitions (a copied mention token steps to the state's span_next,
-    # no transition), the next "(" an eighth (to a role-label state
-    # already compiled); from there "Giver Money ) (" repeats, every
-    # grammar step a lookup
-    assert len(computed) == 8
+    target = tuple("( ( Transfer Money paid ( Giver x ) ) )".split())
+    oracle = oracle_scorer(target, 0.1, decoding_vocab(schema, inp))
+    beam = DecodeConfig("beam", 3, max_length)
+    assert constrained_decode(oracle, inp, schema, beam).tokens == target
+    state = DecodeState()
+    for token in (OPEN, OPEN, "Transfer", "Money", "paid", OPEN, "Giver", "x", CLOSE):
+        state = step(state, token, schema.tries, build_span_trie(inp))
+    assert candidate_vocab(state, schema.tries, build_span_trie(inp)) == {OPEN, CLOSE}
 
 
-def _transitions(grammar):
-    return [(s.phase, s.current, dict(s.next), s.span_next) for s in grammar.states]
+def _snapshot(grammar):
+    return [(s, s.phase, s.current, dict(s.next), s.span_next) for s in grammar.states]
 
 
 @pytest.mark.parametrize("config", [
@@ -156,29 +204,39 @@ def _transitions(grammar):
     DecodeConfig(mode="beam", beam_width=3),
 ])
 def test_inputs_share_the_grammar_of_their_schema(config):
-    # the grammar depends on the schema tries alone: a second input whose
-    # decode takes the same grammar steps compiles no state and no
-    # transition, and leaves the first decode's transitions as they were
+    # the grammar depends on the schema tries alone and is complete once
+    # built: no decode, greedy, beam, unconstrained or through step,
+    # adds a state or changes a transition
     schema = parse_schema("Transfer-Money: Giver, Recipient\nTransfer-Ownership: Buyer")
+    grammar = evseq.decoder._grammar(schema.tries)
+    built = _snapshot(grammar)
     walks = [
         ("Money paid x", "( ( Transfer Money paid ( Giver x ) ) )"),
         ("Ownership was sold to y", "( ( Transfer Money sold ( Giver y ) ) )"),
     ]
-    for i, (text, target) in enumerate(walks):
+    for text, target in walks:
         inp = TokenizedInput.from_tokens(text.split())
-        scorer = oracle_scorer(tuple(target.split()), 0.1, decoding_vocab(schema, inp))
-        assert constrained_decode(scorer, inp, schema, config).tokens == tuple(target.split())
-        if i == 0:
-            grammar = evseq.decoder._grammar(schema.tries)
-            compiled = _transitions(grammar)
+        target = tuple(target.split())
+        scorer = oracle_scorer(target, 0.1, decoding_vocab(schema, inp))
+        assert constrained_decode(scorer, inp, schema, config).tokens == target
+        assert _snapshot(grammar) == built
+        unconstrained = DecodeConfig(max_length=40, constrained=False)
+        assert constrained_decode(scorer, inp, schema, unconstrained).tokens == target
+        assert _snapshot(grammar) == built
+        span_trie = build_span_trie(inp)
+        state = DecodeState()
+        for token in (*target, EOS):
+            candidate_vocab(state, schema.tries, span_trie)
+            state = step(state, token, schema.tries, span_trie)
+        assert state.done
+        assert _snapshot(grammar) == built
     assert evseq.decoder._grammar(schema.tries) is grammar
-    assert _transitions(grammar) == compiled
 
 
 def test_threads_compiling_one_grammar_agree_with_a_single_thread():
-    # decoders on several threads compile states of one fresh grammar at
-    # once; a state's id must stay its index, or a transition would lead
-    # to another state
+    # decoders on several threads race to build the grammar of one fresh
+    # schema through _grammar; one grammar is kept, the others are
+    # dropped, and nothing writes to the kept one once it is built
     schema_text = "A-B: R, S\nA-C: R\nA: S, T-U\nD-E-F: R\nD:"
     rng = random.Random(5)
     inputs = [
@@ -190,9 +248,11 @@ def test_threads_compiling_one_grammar_agree_with_a_single_thread():
         for seed, inp in enumerate(inputs):
             scorer = RandomScorer(decoding_vocab(schema, inp), seed=seed)
             out.append(_decode_or_none(scorer, inp, schema))
+        out.append(evseq.decoder._grammar(schema.tries))
 
     want: list = []
     decode_all(parse_schema(schema_text), want)
+    want.pop()
     schema = parse_schema(schema_text)
     outs: list[list] = [[] for _ in range(4)]
     interval = sys.getswitchinterval()
@@ -206,9 +266,10 @@ def test_threads_compiling_one_grammar_agree_with_a_single_thread():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert all(out == want for out in outs)
     grammar = evseq.decoder._grammar(schema.tries)
-    assert sorted(grammar._ids.values()) == list(range(len(grammar.states)))
+    assert all(out.pop() is grammar for out in outs)
+    assert all(out == want for out in outs)
+    _check_complete(grammar)
 
 
 def _decode_or_none(scorer, inp, schema):
@@ -243,7 +304,7 @@ def test_a_decode_leaves_no_cyclic_garbage(config):
 
 
 def test_a_public_step_walk_leaves_no_cyclic_garbage():
-    # a walk through step compiles an automaton that the states it returns
+    # a walk through step builds an automaton that the states it returns
     # keep alive; its transitions are state ids, so dropping the last state
     # frees it by reference counting, with nothing for the collector to do
     schema = parse_schema("T: R")

@@ -260,6 +260,9 @@ def test_fuzz_small_run_is_clean(capsys, schema_file):
     ("fuzz", "--seeds", "-1"),
     ("fuzz", "--max-len", "3"),
     ("fuzz", "--max-span-len", "0"),
+    ("synth", "--n", "-3"),
+    ("synth", "--max-events", "-1"),
+    ("synth", "--max-args", "-1"),
 ])
 def test_out_of_range_options_are_usage_errors(capsys, tmp_path, schema_file, argv):
     # rejected before any file is read, even for an empty inputs file
@@ -267,7 +270,7 @@ def test_out_of_range_options_are_usage_errors(capsys, tmp_path, schema_file, ar
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
     files = [str(empty), schema_file, str(tmp_path / "no-scorer.json")]
-    if command == "fuzz":
+    if command in ("fuzz", "synth"):
         files = [schema_file]
     with pytest.raises(SystemExit) as exc:
         main([command, *files, *option])
@@ -287,3 +290,8 @@ def test_smallest_in_range_options_are_accepted(capsys, tmp_path, schema_file):
                        "--max-span-len", "1")
     assert code == 0
     assert out.strip() == "decodes: 0, violations: 0, truncated: 0"
+    code, out, _ = run(capsys, "synth", schema_file, "--n", "0")
+    assert (code, out) == (0, "")
+    code, out, _ = run(capsys, "synth", schema_file, "--n", "2", "--max-events", "0",
+                       "--max-args", "0")
+    assert code == 0 and len(out.splitlines()) == 2

@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 from evseq import (
     Argument,
     CodecError,
+    DecodeState,
     EventRecord,
     Mention,
-    add_sentinels,
+    TokenizedInput,
+    build_span_trie,
+    candidate_vocab,
     delinearize,
     linearize,
     parse_schema,
+    step,
     strip_sentinels,
     to_tree,
     tree_to_seq,
@@ -65,7 +69,6 @@ def test_mention_tokens_rejects_reserved():
 
 
 def test_sentinel_wrapping():
-    assert add_sentinels(("(", ")")) == ("<bos>", "(", ")", "<eos>")
     assert strip_sentinels(("<bos>", "(", ")", "<eos>")) == ("(", ")")
     with pytest.raises(CodecError):
         strip_sentinels(("(", ")"))
@@ -319,3 +322,27 @@ def test_delinearize_is_total_over_token_soup(tokens, fig_schema):
             assert record.type in fig_schema
             for arg in record.args:
                 assert arg.role in fig_schema.roles(record.type)
+
+
+def test_the_parser_falls_back_to_a_label_the_decoder_would_go_on_with():
+    # "End" is a token-prefix of "End-Position-Long"; "End Position" is
+    # no label.  The parser reads the trigger "Position x" after "End",
+    # and linearize writes that record back the same way ...
+    schema = parse_schema("End: R\nEnd-Position-Long: R")
+    seq = tuple("( ( End Position x ) )".split())
+    (record,) = delinearize(seq, schema)
+    assert (record.type, record.trigger.text, record.args) == ("End", "Position x", ())
+    grounded = EventRecord("End", Mention("Position x", token_start=0))
+    assert linearize([grounded], schema) == seq
+    # ... but the decoder never emits it: "Position" goes on with the
+    # label rather than start the trigger, and "End Position" must end
+    # as "End Position Long"
+    tries = schema.tries
+    span_trie = build_span_trie(TokenizedInput.from_tokens(["Position", "x"]))
+    state = DecodeState()
+    for token in seq[:3]:
+        state = step(state, token, tries, span_trie)
+    assert candidate_vocab(state, tries, span_trie) == {"Position", "x"}
+    state = step(state, "Position", tries, span_trie)
+    assert state.partial_label == ("End", "Position") and state.partial_span == ()
+    assert candidate_vocab(state, tries, span_trie) == {"Long"}
