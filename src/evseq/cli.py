@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train an n-gram scorer on a dataset")
     p.add_argument("corpus")
     p.add_argument("--out", required=True, help="scorer artifact path")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_int_at_least(1), default=3)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--copy-boost", type=float, default=4.0)
     regime = p.add_mutually_exclusive_group()
@@ -310,7 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "decode" and args.beam and args.no_constraints:
+        parser.error("argument --beam: not allowed with --no-constraints (greedy only)")
     try:
         return args.func(args)
     except SchemaError as err:

@@ -28,9 +28,11 @@ trie's root, if mention tokens may follow), a mention token to
 ``state.span_next`` and the node's child.  Greedy and beam search walk
 these pairs and keep only the emitted prefix themselves;
 ``DecodeState``, ``candidate_vocab`` and ``step`` are views on the same
-pairs.  Beam search scores before it advances: each live hypothesis keeps
-a running score, every legal token is scored as that score plus its
-log-probability, and only the ``beam_width`` survivors are stepped.
+pairs: a state holds nothing but its fields, and every call replays its
+tokens to find its pair.  Beam search scores before it advances: each
+live hypothesis keeps a running score, every legal token is scored as
+that score plus its log-probability, and only the ``beam_width``
+survivors are stepped.
 Greedy search is kept separate from beam width 1 because the two break
 ties differently (see ``constrained_decode``).
 
@@ -113,16 +115,16 @@ class Phase(Enum):
     DONE = "done"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeState:
     """Immutable automaton state after consuming a token prefix.
 
     ``tokens`` holds the emitted sequence without sentinels.  While a
     label or mention is being spelled out, ``partial_label`` or
     ``partial_span`` holds the tokens of the unfinished unit; both are
-    always valid trie paths.  States come from ``DecodeState()`` and
-    ``step``; ``candidate_vocab`` and ``step`` reject one whose fields
-    are not those its tokens lead to.
+    always valid trie paths.  A state holds these six fields only:
+    ``candidate_vocab`` and ``step`` replay its tokens on every call, and
+    reject it unless its fields are those the tokens lead to.
     """
 
     tokens: tuple[str, ...] = ()
@@ -151,6 +153,8 @@ class DecodeConfig:
             raise ValueError("beam_width must be >= 1")
         if self.max_length < 4:
             raise ValueError("max_length must be >= 4 (shortest legal output)")
+        if self.mode == "beam" and not self.constrained:
+            raise ValueError("beam search needs constraints: unconstrained decoding is greedy only")
 
 
 _DEPTH = {
@@ -345,18 +349,11 @@ def _move(grammar: _Grammar, root: Mapping, state: _State, node, span, token: st
 
 def _view(state: DecodeState, tries: SchemaTries, span_trie: SpanTrie):
     """The grammar of ``tries``, and the position that ``state`` is a view
-    of: a grammar state and a node of ``span_trie`` (or None).
-
-    A ``DecodeState`` carries its position outside its fields (so
-    equality and repr ignore it), bound to ``tries`` and ``span_trie``.
-    A state that carries none for these objects is located by replaying
-    its tokens from the start, and rejected unless its fields are those
-    of the position they reach.
+    of: a grammar state and a node of ``span_trie`` (or None), found by
+    replaying its tokens from the start on every call.  The state is
+    rejected unless its fields are those of that position.
     """
     grammar = _grammar(tries)
-    bound = getattr(state, "_view", None)
-    if bound is not None and bound[0] is tries and bound[1] is span_trie:
-        return grammar, bound[2], bound[3]
     here = grammar.start_empty if span_trie.is_empty else grammar.start
     node, span = None, ()
     # the end sentinel is not kept in tokens
@@ -366,7 +363,6 @@ def _view(state: DecodeState, tries: SchemaTries, span_trie: SpanTrie):
         here, node, span = _move(grammar, span_trie.root, here, node, span, token)
     if here.as_view(state.tokens, span) != state:
         raise DecodeError(f"{state!r} is not a state its tokens lead to")
-    object.__setattr__(state, "_view", (tries, span_trie, here, node))
     return grammar, here, node
 
 
@@ -398,9 +394,7 @@ def step(
     stops (see ``codec``).
     """
     grammar, here, node = _view(state, tries, span_trie)
-    # a grammar token (``_legal`` raises once generation has ended) or a
-    # mention token, checked without building the legal set
-    if token not in _legal(here, None) and not (node and token in node):
+    if token not in _legal(here, node):
         raise DecodeError(
             f"token {token!r} is not in the candidate vocabulary "
             f"(phase {state.phase.value}, depth {state.depth})"
@@ -408,9 +402,7 @@ def step(
     here, node, span = _move(grammar, span_trie.root, here, node, state.partial_span, token)
     # the end sentinel is not part of the linearized body
     tokens = state.tokens if here is grammar.end else state.tokens + (token,)
-    out = here.as_view(tokens, span)
-    object.__setattr__(out, "_view", (tries, span_trie, here, node))
-    return out
+    return here.as_view(tokens, span)
 
 
 @dataclass(frozen=True)

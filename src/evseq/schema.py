@@ -67,6 +67,8 @@ class EventSchema:
         normalized: dict[str, tuple[str, ...]] = {}
         for type_name, roles in self.event_types.items():
             _check_name(type_name, "event type")
+            if isinstance(roles, str):
+                raise SchemaError(f"roles of event type {type_name!r} must be a list, not a string")
             seen: set[str] = set()
             for role in roles:
                 _check_name(role, "role")

@@ -6,6 +6,7 @@ ladder in ``oracles`` checks the decoder's grammar.
 """
 
 import gc
+import pickle
 import random
 import sys
 import threading
@@ -99,6 +100,25 @@ def test_views_accept_states_of_other_equal_tries_and_span_tries():
     assert candidate_vocab(state, *other) == candidate_vocab(state, tries, span_trie)
     assert candidate_vocab(state, *other) == {"Giver", "Recipient"}
     assert step(state, "Giver", *other) == step(state, "Giver", tries, span_trie)
+
+
+
+def test_a_stepped_state_is_a_plain_value():
+    inp = TokenizedInput.from_tokens(["Money", "paid", "x"])
+    tries = SchemaTries.from_schema(parse_schema("Transfer-Money: Giver, Recipient\nDie:"))
+    span_trie = build_span_trie(inp)
+    state = DecodeState()
+    for token in (OPEN, OPEN, "Transfer", "Money", "paid"):
+        state = step(state, token, tries, span_trie)
+    plain = DecodeState(state.tokens, state.depth, state.phase, state.partial_label,
+                        state.partial_span, state.current_type)
+    # the pickle carries the six fields, not the tries or the span trie
+    assert pickle.dumps(state) == pickle.dumps(plain)
+    assert not hasattr(state, "__dict__")
+    copy = pickle.loads(pickle.dumps(state))
+    assert copy == state
+    assert candidate_vocab(copy, tries, span_trie) == candidate_vocab(state, tries, span_trie)
+    assert candidate_vocab(copy, tries, span_trie) == {"x", OPEN, CLOSE}
 
 
 @pytest.mark.parametrize(

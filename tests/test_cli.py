@@ -263,6 +263,7 @@ def test_fuzz_small_run_is_clean(capsys, schema_file):
     ("synth", "--n", "-3"),
     ("synth", "--max-events", "-1"),
     ("synth", "--max-args", "-1"),
+    ("train", "--n", "0"),
 ])
 def test_out_of_range_options_are_usage_errors(capsys, tmp_path, schema_file, argv):
     # rejected before any file is read, even for an empty inputs file
@@ -272,10 +273,27 @@ def test_out_of_range_options_are_usage_errors(capsys, tmp_path, schema_file, ar
     files = [str(empty), schema_file, str(tmp_path / "no-scorer.json")]
     if command in ("fuzz", "synth"):
         files = [schema_file]
+    elif command == "train":
+        files = [str(empty), "--out", str(tmp_path / "scorer.json")]
     with pytest.raises(SystemExit) as exc:
         main([command, *files, *option])
     assert exc.value.code == 2
     assert f"argument {option[0]}: must be >= " in capsys.readouterr().err
+
+
+def test_beam_with_no_constraints_is_a_usage_error(capsys, tmp_path, schema_file, gold_file):
+    # rejected before any file is read: none of these files exist
+    missing = [str(tmp_path / name) for name in ("in.jsonl", "schema.txt", "scorer.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", *missing, "--beam", "1", "--no-constraints"])
+    assert exc.value.code == 2
+    assert "argument --beam: not allowed with --no-constraints" in capsys.readouterr().err
+    # width 0 is greedy, which may run unconstrained
+    scorer = tmp_path / "scorer.json"
+    save_scorer(train_ngram([(TokenizedInput.from_tokens(["a"]), ("(", ")"))]), scorer)
+    code, out, _ = run(capsys, "decode", gold_file, schema_file, str(scorer),
+                       "--beam", "0", "--no-constraints")
+    assert code == 0 and len(out.splitlines()) == 1
 
 
 def test_smallest_in_range_options_are_accepted(capsys, tmp_path, schema_file):

@@ -381,6 +381,9 @@ def test_decode_config_validation():
         DecodeConfig(beam_width=0)
     with pytest.raises(ValueError):
         DecodeConfig(max_length=3)
+    # there is no unconstrained beam search, and greedy is no stand-in for one
+    with pytest.raises(ValueError, match=r"^beam search needs constraints"):
+        DecodeConfig(mode="beam", beam_width=4, constrained=False)
 
 
 def test_unconstrained_matches_constrained_when_argmax_is_valid(

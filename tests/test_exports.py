@@ -58,3 +58,80 @@ def test_the_unused_import_check_finds_a_leftover_import():
     source = "from threading import RLock\nimport os.path\nimport re\n\nre.compile('x')\n"
     assert _unused_imports(source) == ["RLock", "os"]
     assert _unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+def _is_object_setattr(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    )
+
+
+def _hidden_writes(source: str) -> list[int]:
+    """Lines of the ``object.__setattr__`` calls in a module other than
+    those in a ``__post_init__`` that set, on ``self``, a field declared
+    in the enclosing class: the calls that can hang an undeclared
+    attribute on a frozen object."""
+    tree = ast.parse(source)
+    declared = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        fields = {
+            node.target.id
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        }
+        for method in cls.body:
+            if isinstance(method, ast.FunctionDef) and method.name == "__post_init__":
+                declared |= {
+                    call
+                    for call in ast.walk(method)
+                    if _is_object_setattr(call)
+                    and len(call.args) >= 2
+                    and isinstance(call.args[0], ast.Name)
+                    and call.args[0].id == "self"
+                    and isinstance(call.args[1], ast.Constant)
+                    and call.args[1].value in fields
+                }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if _is_object_setattr(node) and node not in declared
+    )
+
+
+def test_no_module_hangs_an_undeclared_attribute_on_an_object():
+    modules = sorted(Path(evseq.__file__).parent.glob("*.py"))
+    assert modules
+    hidden = {
+        path.name: lines
+        for path in modules
+        if (lines := _hidden_writes(path.read_text(encoding="utf-8")))
+    }
+    assert hidden == {}
+
+
+def test_the_hidden_attribute_check_finds_a_cache_written_onto_a_value():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class State:\n"
+        "    tokens: tuple = ()\n"
+        "\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'tokens', tuple(self.tokens))\n"
+        "        object.__setattr__(self, '_cache', None)\n"
+        "\n"
+        "    def advance(self, token):\n"
+        "        object.__setattr__(self, 'tokens', self.tokens + (token,))\n"
+        "\n"
+        "\n"
+        "def step(state, token, tries):\n"
+        "    out = State(state.tokens + (token,))\n"
+        "    object.__setattr__(out, '_view', (tries, token))\n"
+        "    return out\n"
+    )
+    assert _hidden_writes(source) == [7, 10, 15]

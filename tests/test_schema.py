@@ -85,6 +85,9 @@ def test_event_schema_rejects_bad_constructions():
         EventSchema({"Bad Name": ()})
     with pytest.raises(SchemaError):
         EventSchema({"Ok": ()}).roles("Missing")
+    # a str is iterable, so it would otherwise be read as one role per letter
+    with pytest.raises(SchemaError, match=r"^roles of event type 'Attack' must be a list"):
+        EventSchema({"Attack": "Target"})
 
 
 def test_label_trie_paths_round_trip():
