@@ -28,7 +28,6 @@ from .curriculum import (
 )
 from .dataio import DataError, Example, read_dataset, write_dataset
 from .decoder import (
-    BatchDecodeError,
     DecodeConfig,
     DecodeError,
     DecodeResult,
@@ -79,7 +78,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Argument",
     "BOS",
-    "BatchDecodeError",
     "CLOSE",
     "CodecError",
     "CurriculumResult",

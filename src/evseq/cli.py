@@ -7,7 +7,9 @@ substructure curriculum, scoring predictions, synthetic data generation,
 and decoder fuzzing.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 malformed data or sequences,
-5 schema errors, 6 decoding constraint failures.
+5 schema errors, 6 decoding failures: ``decode`` still writes every
+prediction, an empty one per failed sentence, and sums the failures up
+on one stderr line.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .curriculum import (
     generate_synthetic,
 )
 from .dataio import DataError, Example, example_to_obj, read_dataset, scored_pairs, write_dataset
-from .decoder import DecodeConfig, DecodeError, TruncationError, constrained_decode
+from .decoder import DecodeConfig, DecodeError, TruncationError, decode_batch
 from .evaluation import evaluate
 from .grounding import ground_records
 from .schema import SchemaError, load_schema
@@ -99,17 +101,21 @@ def cmd_decode(args) -> int:
         max_length=args.max_len,
         constrained=not args.no_constraints,
     )
+    outcomes = decode_batch(scorer, [ex.inp for ex in examples], schema, config, args.max_span_len)
     predictions = []
+    failed = []
     unparseable = 0
-    for ex in examples:
-        result = constrained_decode(scorer, ex.inp, schema, config, args.max_span_len)
-        try:
-            records = delinearize(result.tokens, schema)
-        except CodecError:
-            if not args.no_constraints:
-                raise
-            unparseable += 1
-            records = ()
+    for ex, outcome in zip(examples, outcomes):
+        records = ()
+        if isinstance(outcome, DecodeError):
+            failed.append(f"{ex.id}: {outcome}")
+        else:
+            try:
+                records = delinearize(outcome.tokens, schema)
+            except CodecError:
+                if not args.no_constraints:
+                    raise
+                unparseable += 1
         predictions.append(Example(ex.id, ex.inp, ground_records(records, ex.inp)))
     if unparseable:
         print(
@@ -118,6 +124,10 @@ def cmd_decode(args) -> int:
             file=sys.stderr,
         )
     _emit(args.out, [json.dumps(example_to_obj(p), ensure_ascii=False) for p in predictions])
+    if failed:
+        more = f" (+{len(failed) - 3} more)" if len(failed) > 3 else ""
+        summary = f"{len(failed)} of {len(examples)} item(s) failed, written with no events"
+        raise DecodeError(f"{summary}: {'; '.join(failed[:3])}{more}")
     return EXIT_OK
 
 
@@ -185,21 +195,24 @@ def cmd_synth(args) -> int:
 
 def cmd_fuzz(args) -> int:
     schema = load_schema(args.schema)
-    violations = 0
-    truncated = 0
+    inputs, scorers = [], []
     for seed in range(args.seeds):
         rng = random.Random(seed)
         words = [rng.choice(DEFAULT_WORDS) for _ in range(rng.randint(3, 12))]
-        inp = TokenizedInput.from_tokens(words)
-        scorer = RandomScorer(decoding_vocab(schema, inp), seed=seed)
-        config = DecodeConfig(max_length=args.max_len)
-        try:
-            result = constrained_decode(scorer, inp, schema, config, args.max_span_len)
-        except TruncationError:
+        inputs.append(TokenizedInput.from_tokens(words))
+        scorers.append(RandomScorer(decoding_vocab(schema, inputs[-1]), seed=seed))
+    config = DecodeConfig(max_length=args.max_len)
+    outcomes = decode_batch(scorers, inputs, schema, config, args.max_span_len)
+    violations = 0
+    truncated = 0
+    for seed, (inp, outcome) in enumerate(zip(inputs, outcomes)):
+        if isinstance(outcome, TruncationError):
             truncated += 1
             continue
+        if isinstance(outcome, DecodeError):
+            raise outcome
         try:
-            records = delinearize(result.tokens, schema)
+            records = delinearize(outcome.tokens, schema)
         except CodecError as err:
             violations += 1
             print(f"seed {seed}: output does not parse: {err}", file=sys.stderr)

@@ -658,42 +658,26 @@ def decode_batch(
     schema: EventSchema,
     config: DecodeConfig | None = None,
     max_span_len: int = DEFAULT_MAX_SPAN_LEN,
-) -> list[DecodeResult]:
+) -> list[DecodeResult | DecodeError]:
     """Decode several inputs, preserving order.
 
-    ``scorer`` may be one shared scorer or one scorer per input.  Items
-    are processed independently; if any fail, a BatchDecodeError carries
-    every per-item error along with its input index.
+    ``scorer`` may be one shared scorer or one scorer per input.  Each
+    entry is that input's DecodeResult or the DecodeError it raised, so
+    one failed item never discards the others; ValueErrors propagate.
     """
     if hasattr(scorer, "next_distribution"):
         scorers = [scorer] * len(inputs)
     else:
         scorers = list(scorer)
         if len(scorers) != len(inputs):
-            raise ValueError(
-                f"got {len(scorers)} scorers for {len(inputs)} inputs"
-            )
-    results: list[DecodeResult | None] = []
-    errors: list[tuple[int, DecodeError]] = []
-    for i, (one, inp) in enumerate(zip(scorers, inputs)):
+            raise ValueError(f"got {len(scorers)} scorers for {len(inputs)} inputs")
+    outcomes: list[DecodeResult | DecodeError] = []
+    for one, inp in zip(scorers, inputs):
         try:
-            results.append(constrained_decode(one, inp, schema, config, max_span_len))
+            outcomes.append(constrained_decode(one, inp, schema, config, max_span_len))
         except DecodeError as err:
-            results.append(None)
-            errors.append((i, err))
-    if errors:
-        raise BatchDecodeError(errors)
-    return results
-
-
-class BatchDecodeError(DecodeError):
-    """One or more items of a batch failed; ``errors`` lists (index, error)."""
-
-    def __init__(self, errors: list[tuple[int, DecodeError]]):
-        self.errors = errors
-        summary = "; ".join(f"item {i}: {err}" for i, err in errors[:3])
-        more = f" (+{len(errors) - 3} more)" if len(errors) > 3 else ""
-        super().__init__(f"{len(errors)} item(s) failed: {summary}{more}")
+            outcomes.append(err)
+    return outcomes
 
 
 def sequence_nll(

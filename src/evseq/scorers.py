@@ -14,6 +14,7 @@ import hashlib
 import json
 import random
 from functools import reduce
+from math import inf
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -161,10 +162,10 @@ class NgramScorer:
     ):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        if alpha <= 0.0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
-        if copy_boost < 1.0:
-            raise ValueError(f"copy_boost must be >= 1, got {copy_boost}")
+        if not 0.0 < alpha < inf:
+            raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+        if not 1.0 <= copy_boost < inf:
+            raise ValueError(f"copy_boost must be finite and >= 1, got {copy_boost}")
         self.order = order
         self.counts = counts
         self.alpha = alpha

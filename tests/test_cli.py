@@ -1,8 +1,20 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from evseq import Example, load_scorer, read_dataset, save_scorer, train_ngram, write_dataset
+from evseq import (
+    DecodeConfig,
+    DecodeError,
+    Example,
+    decode_batch,
+    load_schema,
+    load_scorer,
+    read_dataset,
+    save_scorer,
+    train_ngram,
+    write_dataset,
+)
 from evseq.cli import main
 from evseq.span_index import TokenizedInput
 
@@ -10,6 +22,7 @@ from conftest import FIG_SENTENCE
 from oracles import erase_offsets
 
 SCHEMA_TEXT = "Transport: Artifact, Origin, Destination\nArrest-Jail: Person, Agent, Time\n"
+BENCHMARK_SCHEMA = Path(__file__).resolve().parents[1] / "benchmarks" / "schema.txt"
 
 
 def run(capsys, *argv):
@@ -196,7 +209,7 @@ def test_malformed_dataset_and_scorer_files_exit_4(capsys, tmp_path, schema_file
     scorer = tmp_path / "scorer.json"
     save_scorer(train_ngram([(TokenizedInput.from_tokens(["a"]), ("(", ")"))]), scorer)
     payload = json.loads(scorer.read_text())
-    del payload["counts"]
+    counts = payload.pop("counts")
     scorer.write_text(json.dumps(payload), encoding="utf-8")
     code, _, err = run(capsys, "decode", gold_file, schema_file, str(scorer),
                        "--out", str(tmp_path / "preds.jsonl"))
@@ -214,6 +227,14 @@ def test_malformed_dataset_and_scorer_files_exit_4(capsys, tmp_path, schema_file
                        "--out", str(tmp_path / "preds.jsonl"))
     assert code == 4
     assert f"{scorer}: malformed scorer artifact" in err
+    payload.update(counts=counts, alpha=float("nan"))
+    scorer.write_text(json.dumps(payload), encoding="utf-8")
+    assert '"alpha": NaN' in scorer.read_text(encoding="utf-8")
+    code, out, err = run(capsys, "decode", gold_file, schema_file, str(scorer),
+                         "--out", str(tmp_path / "nan-preds.jsonl"))
+    assert (code, out) == (4, "")
+    assert err == f"error: {scorer}: alpha must be finite and > 0, got nan\n"
+    assert not (tmp_path / "nan-preds.jsonl").exists()
     bad_rows.write_text('{"id": null, "text": "a", "events": []}\n', encoding="utf-8")
     code, _, err = run(capsys, "eval", gold_file, str(bad_rows))
     assert code == 4
@@ -251,6 +272,54 @@ def test_fuzz_small_run_is_clean(capsys, schema_file):
     code, out, _ = run(capsys, "fuzz", schema_file, "--seeds", "25")
     assert code == 0
     assert out.strip() == "decodes: 25, violations: 0, truncated: 0"
+
+
+def test_fuzz_counts_truncations_and_checks_the_rest(capsys):
+    code, out, err = run(capsys, "fuzz", str(BENCHMARK_SCHEMA), "--seeds", "60",
+                         "--max-len", "8")
+    assert (code, err) == (0, "")
+    assert out == "decodes: 60, violations: 0, truncated: 26\n"
+
+
+@pytest.mark.parametrize("extra, n_failed", [((), 19), (("--no-constraints",), 18)])
+def test_decode_writes_every_prediction_when_some_items_fail(
+    capsys, tmp_path, schema_file, extra, n_failed
+):
+    corpus = tmp_path / "corpus.jsonl"
+    scorer = tmp_path / "scorer.json"
+    preds = tmp_path / "preds.jsonl"
+    run(capsys, "synth", schema_file, "--seed", "3", "--n", "30", "--out", str(corpus))
+    run(capsys, "train", str(corpus), "--out", str(scorer))
+    code, _, err = run(capsys, "decode", str(corpus), schema_file, str(scorer),
+                       *extra, "--out", str(preds))
+    gold = read_dataset(corpus)
+    outcomes = decode_batch(
+        load_scorer(scorer), [ex.inp for ex in gold], load_schema(schema_file),
+        DecodeConfig(constrained=not extra),
+    )
+    failed = [ex.id for ex, outcome in zip(gold, outcomes) if isinstance(outcome, DecodeError)]
+    assert len(failed) == n_failed
+    assert code == 6
+    rows = [json.loads(line) for line in preds.read_text(encoding="utf-8").splitlines()]
+    assert [row["id"] for row in rows] == [ex.id for ex in gold]
+    assert all(row["events"] == [] for row in rows if row["id"] in failed)
+    assert any(row["events"] for row in rows if row["id"] not in failed)
+    named = "; ".join(f"{i}: no end sentinel within max_length=128 tokens" for i in failed[:3])
+    assert err.splitlines()[-1] == (
+        f"decode error: {len(failed)} of 30 item(s) failed, written with no events: "
+        f"{named} (+{len(failed) - 3} more)"
+    )
+
+
+@pytest.mark.parametrize("option", [("--alpha", "nan"), ("--copy-boost", "inf")])
+def test_train_rejects_non_finite_smoothing(capsys, tmp_path, schema_file, option):
+    corpus = tmp_path / "corpus.jsonl"
+    scorer = tmp_path / "scorer.json"
+    run(capsys, "synth", schema_file, "--seed", "3", "--n", "5", "--out", str(corpus))
+    code, out, err = run(capsys, "train", str(corpus), "--out", str(scorer), *option)
+    assert (code, out) == (4, "")
+    assert f"{option[0][2:].replace('-', '_')} must be finite" in err
+    assert not scorer.exists()
 
 
 @pytest.mark.parametrize("argv", [

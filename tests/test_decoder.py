@@ -15,6 +15,7 @@ from evseq import (
     CodecError,
     DecodeConfig,
     DecodeError,
+    DecodeResult,
     DecodeState,
     Phase,
     RandomScorer,
@@ -37,7 +38,6 @@ from evseq import (
     uniform_scorer,
 )
 import evseq.decoder
-from evseq.decoder import BatchDecodeError
 
 from oracles import (
     Undeclared,
@@ -911,19 +911,13 @@ def test_decode_batch_aggregates_errors(tiny_schema):
     inp = TokenizedInput.from_tokens(["tok"])
     ok = oracle_scorer((OPEN, CLOSE))
     stuck = uniform_scorer(decoding_vocab(tiny_schema, inp))
-    with pytest.raises(BatchDecodeError) as exc:
-        decode_batch(
-            [ok, stuck], [inp, inp], tiny_schema, DecodeConfig(max_length=16)
-        )
-    assert [i for i, _ in exc.value.errors] == [1]
-    assert isinstance(exc.value.errors[0][1], TruncationError)
-    assert "item 1" in str(exc.value)
-
-
-def test_batch_decode_error_is_exported():
-    from evseq import BatchDecodeError as exported
-
-    assert exported is BatchDecodeError
+    first, second = decode_batch(
+        [ok, stuck], [inp, inp], tiny_schema, DecodeConfig(max_length=16)
+    )
+    assert isinstance(first, DecodeResult)
+    assert first.tokens == (OPEN, CLOSE)
+    assert isinstance(second, TruncationError)
+    assert str(second) == "no end sentinel within max_length=16 tokens"
 
 
 # ---------------------------------------------------------------------- nll

@@ -135,3 +135,49 @@ def test_the_hidden_attribute_check_finds_a_cache_written_onto_a_value():
         "    return out\n"
     )
     assert _hidden_writes(source) == [7, 10, 15]
+
+
+def _decode_calls(source: str) -> list[int]:
+    """Lines of a module's calls to ``constrained_decode``, by name or as
+    an attribute: outside the decoder such a call starts its own
+    per-item loop, with its own failure policy, beside ``decode_batch``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "constrained_decode"
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr == "constrained_decode"
+        )
+    )
+
+
+def test_only_the_decoder_calls_constrained_decode():
+    modules = sorted(Path(evseq.__file__).parent.glob("*.py"))
+    assert "decoder.py" in [path.name for path in modules]
+    calls = {
+        path.name: lines
+        for path in modules
+        if path.name != "decoder.py"
+        and (lines := _decode_calls(path.read_text(encoding="utf-8")))
+    }
+    assert calls == {}
+
+
+def test_the_decode_call_check_finds_a_loop_of_its_own():
+    source = (
+        "from . import decoder\n"
+        "from .decoder import constrained_decode, decode_batch\n"
+        "\n"
+        "\n"
+        "def cmd_decode(args):\n"
+        "    predictions = []\n"
+        "    for ex in examples:\n"
+        "        result = constrained_decode(scorer, ex.inp, schema, config)\n"
+        "        predictions.append(result)\n"
+        "    others = [decoder.constrained_decode(scorer, ex.inp, schema) for ex in examples]\n"
+        "    return decode_batch(scorer, [ex.inp for ex in examples], schema)\n"
+    )
+    assert _decode_calls(source) == [8, 10]

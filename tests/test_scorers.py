@@ -428,6 +428,12 @@ def test_ngram_parameter_validation():
         NgramScorer(1, counts, alpha=0.0)
     with pytest.raises(ValueError):
         NgramScorer(1, counts, copy_boost=0.5)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            NgramScorer(1, counts, alpha=alpha)
+    for copy_boost in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="copy_boost must be finite and >= 1"):
+            NgramScorer(1, counts, copy_boost=copy_boost)
     with pytest.raises(ValueError):
         train_ngram([])
 
