@@ -289,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     regime = p.add_mutually_exclusive_group()
     regime.add_argument("--curriculum", action="store_true", default=True)
     regime.add_argument("--direct", action="store_true")
-    p.add_argument("--sub-epochs", type=int, default=5)
-    p.add_argument("--full-epochs", type=int, default=30)
+    p.add_argument("--sub-epochs", type=_int_at_least(0), default=5)
+    p.add_argument("--full-epochs", type=_int_at_least(0), default=30)
     p.add_argument("--heldout", type=float, default=0.2)
     p.add_argument("--mode", choices=("concatenated", "per_unit"), default="concatenated")
     p.add_argument("--seed", type=int, default=0)
@@ -327,6 +327,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "decode" and args.beam and args.no_constraints:
         parser.error("argument --beam: not allowed with --no-constraints (greedy only)")
+    if args.command == "train" and args.sub_epochs == args.full_epochs == 0:
+        parser.error("arguments --sub-epochs, --full-epochs: not both 0 (nothing to count)")
     try:
         return args.func(args)
     except SchemaError as err:

@@ -88,7 +88,8 @@ class Scorer(Protocol):
     absent tokens are treated as probability zero.  Distributions must
     be non-negative, finite, and sum to 1 within tolerance.  The mapping
     is read-only to the caller and may be shared between calls, so a
-    scorer can return one memoized dict for many prefixes.
+    scorer can return one memoized mapping for many prefixes.  Decoding
+    reads it with ``get`` and, unconstrained, one pass over ``items()``.
 
     A scorer may also declare a read-only ``context_size``, a
     non-negative int: its distributions depend on the input and on at
@@ -307,8 +308,10 @@ class _Grammar:
 
 def _grammar(tries: SchemaTries) -> _Grammar:
     """The grammar of ``tries``, built on first use and kept on it."""
-    # SchemaTries is frozen, so the grammar goes into its __dict__ (equality
-    # and repr read the fields only); setdefault keeps one if two threads race
+    # SchemaTries is frozen, so the grammar goes into its __dict__, where
+    # repr, equality and pickling do not read it (two from_schema copies
+    # compare unequal anyway: TrieNode has no __eq__); setdefault keeps one
+    # if two threads race
     kept = vars(tries)
     grammar = kept.get("_grammar")
     if grammar is None:
@@ -427,10 +430,14 @@ class DecodeResult:
         return -self.total_logprob
 
 
+def _bad_score(token: str, p: float) -> DecodeError:
+    return DecodeError(f"scorer produced a non-finite or negative score for {token!r}: {p}")
+
+
 def _checked_prob(dist: Mapping[str, float], token: str) -> float:
     p = dist.get(token, 0.0)
     if math.isnan(p) or math.isinf(p) or p < 0.0:
-        raise DecodeError(f"scorer produced a non-finite or negative score for {token!r}: {p}")
+        raise _bad_score(token, p)
     return p
 
 
@@ -552,12 +559,17 @@ def _greedy_unconstrained(
     while True:
         if len(prefix) >= config.max_length:
             raise _truncated(config)
-        dist = scorer.next_distribution(inp, tuple(prefix))
-        if not dist:
+        # the smallest (-p, token) in one pass over the items, raising for
+        # the first bad score in the distribution's order
+        chosen, best = None, -1.0
+        for token, p in scorer.next_distribution(inp, tuple(prefix)).items():
+            if not 0.0 <= p < inf:  # also false for NaN
+                raise _bad_score(token, p)
+            if p > best or (p == best and token < chosen):
+                chosen, best = token, p
+        if chosen is None:
             raise DecodeError("scorer returned an empty distribution")
-        chosen = min(dist, key=lambda t: (-_checked_prob(dist, t), t))
-        p = _checked_prob(dist, chosen)
-        logprobs.append(log(p) if p > 0.0 else -inf)
+        logprobs.append(log(best) if best > 0.0 else -inf)
         prefix.append(chosen)
         if chosen == EOS:
             return DecodeResult(tuple(prefix[1:-1]), tuple(logprobs))

@@ -232,11 +232,17 @@ class SchemaTries:
     """The label tries a decoder walks: one for types, one per type for roles.
 
     The decoder compiles its whole grammar from these tries on first use
-    and keeps it on this object outside the fields (see ``decoder``).
+    and keeps it on this object outside the fields (see ``decoder``); a
+    pickled copy leaves it out and compiles its own when it is used.
     """
 
     type_trie: LabelTrie
     role_tries: Mapping[str, LabelTrie]
+
+    def __getstate__(self) -> dict:
+        state = vars(self).copy()
+        state.pop("_grammar", None)
+        return state
 
     @classmethod
     def from_schema(cls, schema: EventSchema) -> "SchemaTries":

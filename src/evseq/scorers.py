@@ -13,10 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections.abc import ItemsView, Mapping
 from functools import reduce
+from itertools import repeat
 from math import inf
-from operator import add
-from typing import Iterable, Mapping, Sequence
+from operator import add, truediv
+from typing import Iterable, Sequence
 
 from .schema import EventSchema
 from .span_index import TokenizedInput
@@ -137,6 +139,49 @@ Counts = dict[int, dict[tuple[str, ...], dict[str, int]]]
 EMPTY_CORPUS = "cannot train an n-gram scorer on an empty corpus"
 
 
+class _Distribution(Mapping):
+    """A read-only distribution over ``support``: the probability of
+    ``support[i]`` is ``scores[i] / total``, divided when it is read.
+
+    Keys come in support order; ``get`` and ``[]`` find a token through
+    ``index``, and ``items()`` divides in one pass."""
+
+    __slots__ = ("_support", "_index", "_scores", "_total")
+
+    def __init__(self, support: list, index: dict, scores: list, total: float):
+        self._support = support
+        self._index = index
+        self._scores = scores
+        self._total = total
+
+    def __getitem__(self, token):
+        return self._scores[self._index[token]] / self._total
+
+    def get(self, token, default=None):
+        i = self._index.get(token)
+        return default if i is None else self._scores[i] / self._total
+
+    def __iter__(self):
+        return iter(self._support)
+
+    def __len__(self):
+        return len(self._support)
+
+    def items(self):
+        return _Items(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        dist = self._mapping
+        return zip(dist._support, map(truediv, dist._scores, repeat(dist._total)))
+
+
 class NgramScorer:
     """Count-based n-gram model with hard backoff and additive smoothing.
 
@@ -147,9 +192,12 @@ class NgramScorer:
     for tokens present in the current input sentence, then normalized
     over the training vocabulary extended with the input tokens.  A
     distribution thus reads the input and at most ``order - 1`` trailing
-    prefix tokens, which ``context_size`` declares.  For the input
-    queried last, each backoff table's distribution is built once and
-    then returned again as the same dict.
+    prefix tokens, which ``context_size`` declares.  It is a read-only
+    ``Mapping`` in sorted token order that keeps the scores and their
+    sum and divides only the values that are read, so a constrained
+    decode pays for its few legal tokens, not the whole support.  For
+    the input queried last, each backoff table's distribution is built
+    once and then returned again as the same object.
     """
 
     def __init__(
@@ -173,10 +221,10 @@ class NgramScorer:
         # extra_vocab admits tokens never seen in training (smoothing
         # still gives them mass), e.g. label tokens of a schema
         self.vocab = frozenset(counts.get(1, {}).get((), {})) | frozenset(extra_vocab)
-        # (input token set, its support, its token -> index map, its input
-        # tokens with their indices, its memo) for the input decoded last;
-        # the memo maps id(table) to (table, normalized dict), the table
-        # kept so that its id cannot be reused
+        # (input token set, its support, its token -> index map, its base
+        # scores, its memo) for the input decoded last; the memo maps
+        # id(table) to (table, distribution), the table kept so that its
+        # id cannot be reused
         self._support_cache: tuple[frozenset[str], list, dict, list, dict] | None = None
 
     @property
@@ -195,58 +243,56 @@ class NgramScorer:
             k -= 1
         return self.counts.get(1, {}).get((), {})
 
-    def _support(self, input_tokens: frozenset[str]) -> tuple[list, dict, list, dict]:
-        """Sorted ``vocab | input_tokens``, its token -> index map, the
-        input tokens with their indices, and the memo of distributions for
-        that input; kept for the last input token set seen, since a decode
-        asks for one input many times in a row."""
+    def _support(self, input_tokens: frozenset[str]) -> tuple[frozenset, list, dict, list, dict]:
+        """The input token set, sorted ``vocab | input_tokens``, its token
+        -> index map, the scores of a table that counts nothing (α, times
+        ``copy_boost`` at the input's tokens), and the memo of
+        distributions for that input; kept for the last input token set
+        seen, since a decode asks for one input many times in a row."""
         cached = self._support_cache
         if cached is None or (
             cached[0] is not input_tokens and cached[0] != input_tokens
         ):
             support = sorted(self.vocab | input_tokens)
             index = {token: i for i, token in enumerate(support)}
-            copied = [(index[token], token) for token in input_tokens]
-            cached = self._support_cache = (input_tokens, support, index, copied, {})
-        return cached[1:]
+            base = [self.alpha] * len(support)
+            for token in input_tokens:
+                base[index[token]] *= self.copy_boost
+            cached = self._support_cache = (input_tokens, support, index, base, {})
+        return cached
 
     def next_distribution(
         self, inp: TokenizedInput, prefix: Sequence[str]
     ) -> Mapping[str, float]:
         """The distribution after ``prefix``; every prefix that backs off
-        to the same table gets the same dict object, so callers must not
-        modify it.
+        to the same table gets the same object, a read-only ``Mapping``.
 
         Each score is (count + α) × boost, and a token the table does not
-        count scores 0 + α == α, so the scores start at α and only the
-        table's tokens and the input's tokens are written.  They are
+        count scores 0 + α == α, so the scores start from the input's
+        base scores and only the table's tokens are written.  They are
         summed left to right (not with sum(), which rounds differently
-        from Python 3.12 on) and divided by the sum; every token neither
-        counted nor copied gets α / total, the very float its own score
-        over the total would give.
+        from Python 3.12 on), and a value read is its score over the sum.
+        Raises ValueError when ``alpha`` and ``copy_boost`` are so large
+        that the sum overflows.
         """
         table = self._table(prefix)
-        support, index, copied, memo = self._support(inp.token_set)
+        copied, support, index, base, memo = self._support(inp.token_set)
         hit = memo.get(id(table))
         if hit is not None:
             return hit[1]
-        alpha = self.alpha
-        scores = [alpha] * len(support)
-        counted = []
+        alpha, boost = self.alpha, self.copy_boost
+        scores = base.copy()
         for token, count in table.items():
             i = index.get(token)
             if i is not None:  # a count outside the support is ignored
-                scores[i] = count + alpha
-                counted.append((i, token))
-        boost = self.copy_boost
-        for i, _ in copied:
-            scores[i] *= boost
+                scores[i] = (count + alpha) * boost if token in copied else count + alpha
         total = reduce(add, scores, 0.0)
-        dist = dict.fromkeys(support, alpha / total)
-        for i, token in counted:
-            dist[token] = scores[i] / total
-        for i, token in copied:
-            dist[token] = scores[i] / total
+        if not total < inf:
+            raise ValueError(
+                f"alpha={alpha!r} and copy_boost={boost!r} are too large:"
+                f" the smoothed scores sum to {total}"
+            )
+        dist = _Distribution(support, index, scores, total)
         memo[id(table)] = (table, dist)
         return dist
 

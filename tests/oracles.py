@@ -506,3 +506,50 @@ def reference_next_distribution(scorer, inp: TokenizedInput, prefix: Sequence[st
             scores[i] *= scorer.copy_boost
     total = reduce(add, scores, 0.0)
     return dict(zip(support, map(truediv, scores, repeat(total))))
+
+
+def reference_eager_distribution(scorer, inp: TokenizedInput, prefix: Sequence[str]) -> dict:
+    """An n-gram distribution built as a whole dict, every value divided
+    up front: α / total for the tokens neither counted nor copied, then
+    each counted and each copied token's own score over the total."""
+    table = _ngram_table(scorer, prefix)
+    support = sorted(scorer.vocab | inp.token_set)
+    index = {token: i for i, token in enumerate(support)}
+    alpha = scorer.alpha
+    scores = [alpha] * len(support)
+    counted = []
+    for token, count in table.items():
+        i = index.get(token)
+        if i is not None:
+            scores[i] = count + alpha
+            counted.append((i, token))
+    copied = [(index[token], token) for token in inp.token_set]
+    for i, _ in copied:
+        scores[i] *= scorer.copy_boost
+    total = reduce(add, scores, 0.0)
+    dist = dict.fromkeys(support, alpha / total)
+    for i, token in counted + copied:
+        dist[token] = scores[i] / total
+    return dist
+
+
+def reference_unconstrained(scorer, inp: TokenizedInput, config: DecodeConfig) -> DecodeResult:
+    """Unconstrained greedy by its definition: at each step the smallest
+    (-probability, token) over the whole distribution, every value
+    checked in the distribution's order.  Raises TruncationError at
+    ``max_length``."""
+    prefix = [BOS]
+    logprobs: list[float] = []
+    while True:
+        if len(prefix) >= config.max_length:
+            raise TruncationError(
+                f"no end sentinel within max_length={config.max_length} tokens"
+            )
+        dist = scorer.next_distribution(inp, tuple(prefix))
+        if not dist:
+            raise DecodeError("scorer returned an empty distribution")
+        chosen = min(dist, key=lambda t: (-_checked_prob(dist, t), t))
+        logprobs.append(_log(_checked_prob(dist, chosen)))
+        prefix.append(chosen)
+        if chosen == EOS:
+            return DecodeResult(tuple(prefix[1:-1]), tuple(logprobs))

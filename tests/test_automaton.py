@@ -219,6 +219,27 @@ def _snapshot(grammar):
     return [(s, s.phase, s.current, dict(s.next), s.span_next) for s in grammar.states]
 
 
+def test_pickled_tries_leave_the_compiled_grammar_out():
+    # the pickle of the benchmark schema's tries is 1,356 bytes either
+    # way; with the grammar in it, it would be 5,466
+    schema = parse_schema(BENCHMARK_SCHEMA.read_text(encoding="utf-8"))
+    before = pickle.dumps(schema.tries)
+    inp = TokenizedInput.from_tokens(["x", "y"])
+    _decode_or_none(RandomScorer(decoding_vocab(schema, inp), seed=3), inp, schema)
+    grammar = evseq.decoder._grammar(schema.tries)
+    assert pickle.dumps(schema.tries) == before
+    copy = pickle.loads(before)
+    assert "_grammar" not in vars(copy)
+    # the copy compiles a grammar of its own on first use
+    span_trie = build_span_trie(inp)
+    state = step(DecodeState(), OPEN, copy, span_trie)
+    assert candidate_vocab(state, copy, span_trie) == candidate_vocab(
+        state, schema.tries, span_trie
+    )
+    assert evseq.decoder._grammar(copy) is not grammar
+    assert len(evseq.decoder._grammar(copy).states) == len(grammar.states)
+
+
 @pytest.mark.parametrize("config", [
     DecodeConfig(),
     DecodeConfig(mode="beam", beam_width=3),

@@ -322,6 +322,34 @@ def test_train_rejects_non_finite_smoothing(capsys, tmp_path, schema_file, optio
     assert not scorer.exists()
 
 
+OVERFLOW = "alpha=1e+308 and copy_boost=4.0 are too large: the smoothed scores sum to inf"
+
+
+def test_train_with_overflowing_smoothing_writes_no_artifact(capsys, tmp_path, schema_file):
+    corpus = tmp_path / "corpus.jsonl"
+    scorer = tmp_path / "scorer.json"
+    run(capsys, "synth", schema_file, "--seed", "3", "--n", "50", "--out", str(corpus))
+    code, out, err = run(capsys, "train", str(corpus), "--out", str(scorer), "--alpha", "1e308")
+    assert (code, out) == (4, "")
+    assert err == f"error: {OVERFLOW}\n"
+    assert not scorer.exists()
+
+
+def test_decode_with_overflowing_smoothing_is_a_data_error(capsys, tmp_path, schema_file):
+    corpus = tmp_path / "corpus.jsonl"
+    scorer = tmp_path / "scorer.json"
+    preds = tmp_path / "preds.jsonl"
+    run(capsys, "synth", schema_file, "--seed", "3", "--n", "50", "--out", str(corpus))
+    run(capsys, "train", str(corpus), "--out", str(scorer))
+    artifact = json.loads(scorer.read_text(encoding="utf-8"))
+    artifact["alpha"] = 1e308
+    scorer.write_text(json.dumps(artifact), encoding="utf-8")
+    code, out, err = run(capsys, "decode", str(corpus), schema_file, str(scorer),
+                         "--out", str(preds))
+    assert (code, out) == (4, "")
+    assert err == f"error: {OVERFLOW}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("decode", "--beam", "-2"),
     ("decode", "--max-len", "3"),
@@ -333,6 +361,8 @@ def test_train_rejects_non_finite_smoothing(capsys, tmp_path, schema_file, optio
     ("synth", "--max-events", "-1"),
     ("synth", "--max-args", "-1"),
     ("train", "--n", "0"),
+    ("train", "--sub-epochs", "-1"),
+    ("train", "--full-epochs", "-2"),
 ])
 def test_out_of_range_options_are_usage_errors(capsys, tmp_path, schema_file, argv):
     # rejected before any file is read, even for an empty inputs file
@@ -348,6 +378,15 @@ def test_out_of_range_options_are_usage_errors(capsys, tmp_path, schema_file, ar
         main([command, *files, *option])
     assert exc.value.code == 2
     assert f"argument {option[0]}: must be >= " in capsys.readouterr().err
+
+
+def test_train_with_no_epochs_is_a_usage_error(capsys, tmp_path):
+    # rejected before the corpus is read: it does not exist
+    with pytest.raises(SystemExit) as exc:
+        main(["train", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "s.json"),
+              "--sub-epochs", "0", "--full-epochs", "0"])
+    assert exc.value.code == 2
+    assert "arguments --sub-epochs, --full-epochs: not both 0" in capsys.readouterr().err
 
 
 def test_beam_with_no_constraints_is_a_usage_error(capsys, tmp_path, schema_file, gold_file):

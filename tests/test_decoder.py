@@ -45,6 +45,7 @@ from oracles import (
     random_schema,
     reference_beam,
     reference_greedy,
+    reference_unconstrained,
 )
 
 
@@ -612,6 +613,62 @@ def test_greedy_equals_reference_greedy(seed, kind, max_length):
     config = DecodeConfig(max_length=max_length)
     got = _decode_or_truncate(lambda: constrained_decode(scorer, inp, schema, config))
     want = _decode_or_truncate(lambda: reference_greedy(scorer, inp, schema, config))
+    assert got == want  # tokens and logprobs, floats compared with ==
+
+
+class SpoiledScorer:
+    """A random scorer that puts ``value`` on two random tokens at every
+    step from the ``at``-th on."""
+
+    def __init__(self, vocab, seed, value, at):
+        self.base = RandomScorer(vocab, seed)
+        self.seed, self.value, self.at = seed, value, at
+
+    def next_distribution(self, inp, prefix):
+        dist = self.base.next_distribution(inp, prefix)
+        if len(prefix) >= self.at:
+            rng = random.Random(f"{self.seed}:{len(prefix)}")
+            dist.update(dict.fromkeys(rng.sample(sorted(dist), 2), self.value))
+        return dist
+
+
+def _outcome(decode):
+    try:
+        return decode()
+    except DecodeError as err:
+        return type(err).__name__, str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    kind=st.sampled_from(["random", "uniform", "empty", "gappy", "tied", "ngram", "spoiled"]),
+    max_length=st.integers(min_value=4, max_value=30),
+)
+def test_unconstrained_equals_reference_argmax(seed, kind, max_length):
+    # the argmax, its tie rule, and the first bad score in the
+    # distribution's order, as min() over the whole distribution has them
+    rng = random.Random(seed)
+    schema = random_schema(rng, max_types=4, max_roles=3)
+    inp = TokenizedInput.from_tokens([rng.choice("xyz") for _ in range(rng.randint(0, 5))])
+    vocab = decoding_vocab(schema, inp)
+    scorer = {
+        "random": lambda: RandomScorer(vocab, seed),
+        "uniform": lambda: UniformScorer(vocab),
+        "empty": EmptyScorer,
+        "gappy": lambda: GappyScorer(vocab, seed),
+        "tied": lambda: TiedScorer(vocab, seed),
+        "ngram": lambda: train_ngram(
+            [(inp, random_walk(rng, schema, inp, rng.randint(2, 12))) for _ in range(3)],
+            n=rng.randint(1, 3), extra_vocab=vocab,
+        ),
+        "spoiled": lambda: SpoiledScorer(
+            vocab, seed, rng.choice((math.nan, math.inf, -math.inf, -0.5)), rng.randint(1, 4)
+        ),
+    }[kind]()
+    config = DecodeConfig(max_length=max_length, constrained=False)
+    got = _outcome(lambda: constrained_decode(scorer, inp, schema, config))
+    want = _outcome(lambda: reference_unconstrained(scorer, inp, config))
     assert got == want  # tokens and logprobs, floats compared with ==
 
 

@@ -28,7 +28,11 @@ from evseq import (
     uniform_scorer,
 )
 
-from oracles import reference_next_distribution, reference_ngram_distribution
+from oracles import (
+    reference_eager_distribution,
+    reference_next_distribution,
+    reference_ngram_distribution,
+)
 
 EMPTY = TokenizedInput.from_text("")
 
@@ -371,6 +375,70 @@ def test_ngram_distributions_equal_the_dense_formula(data, order, alpha, copy_bo
             got = scorer.next_distribution(inp, prefix)
             want = reference_next_distribution(scorer, inp, prefix)
             assert list(got.items()) == list(want.items())  # floats with ==
+
+
+ABSENT = ["never", "", "<pad>"]
+
+
+def _hexes(values):
+    return [p.hex() for p in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    order=st.integers(1, 3),
+    alpha=st.one_of(
+        st.sampled_from([0.1, 1e-3, 1, 2.5]),
+        st.floats(1e-9, 1e3, allow_nan=False, allow_infinity=False),
+    ),
+    copy_boost=st.one_of(
+        st.sampled_from([1.0, 4.0, 3]), st.floats(1.0, 50.0, allow_nan=False)
+    ),
+    extra=st.lists(st.sampled_from(["Label", "zz"]), max_size=2),
+)
+def test_ngram_mapping_equals_the_eager_dict(data, order, alpha, copy_boost, extra):
+    counts = {k: data.draw(_tables(k)) for k in range(1, order + 1)}
+    scorer = NgramScorer(order, counts, alpha, copy_boost, extra)
+    words = st.sampled_from(POOL[3:] + OUTSIDE + ["oov"])
+    for _ in range(4):  # several inputs on one scorer: its caches switch
+        inp = TokenizedInput.from_tokens(data.draw(st.lists(words, max_size=5)))
+        seen = []
+        for _ in range(3):
+            prefix = ("<bos>", *data.draw(st.lists(st.sampled_from(POOL + OUTSIDE), max_size=4)))
+            got = scorer.next_distribution(inp, prefix)
+            want = reference_eager_distribution(scorer, inp, prefix)
+            assert list(got) == list(want) and list(got.keys()) == list(want)
+            assert len(got) == len(want)
+            assert [(t, p.hex()) for t, p in got.items()] == [
+                (t, p.hex()) for t, p in want.items()
+            ]
+            assert _hexes(got.values()) == _hexes(want.values())
+            assert _hexes(got[t] for t in want) == _hexes(want.values())
+            assert _hexes(got.get(t, -1.0) for t in want) == _hexes(want.values())
+            assert got == want and dict(got) == want
+            for token in ABSENT + (["zz"] if "zz" not in want else []):
+                assert token not in got
+                assert got.get(token) is None and got.get(token, 0.0) == 0.0
+                with pytest.raises(KeyError):
+                    got[token]
+            with pytest.raises(TypeError):
+                got["a"] = 1.0  # read-only
+            seen.append((prefix, got))
+        # the same input again: a prefix gets back the very object it got
+        for prefix, got in seen:
+            assert scorer.next_distribution(inp, prefix) is got
+
+
+def test_ngram_overflowing_smoothing_is_a_typed_error():
+    counts = {1: {(): {"a": 1, "b": 2}}}
+    with pytest.raises(ValueError, match=r"^alpha=1e\+308 and copy_boost=4\.0 are too large"):
+        NgramScorer(1, counts, 1e308).next_distribution(EMPTY, ("<bos>",))
+    # boosted past the largest float by the input's copies alone
+    copied = TokenizedInput.from_tokens(["a"])
+    with pytest.raises(ValueError, match=r"^alpha=1e\+306 and copy_boost=1e\+300 "):
+        NgramScorer(1, counts, 1e306, 1e300).next_distribution(copied, ("<bos>",))
+    assert_is_distribution(NgramScorer(1, counts, 1e306, 1e300).next_distribution(EMPTY, ()))
 
 
 def test_context_size_is_what_a_distribution_reads():
