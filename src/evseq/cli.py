@@ -329,6 +329,8 @@ def main(argv=None) -> int:
         parser.error("argument --beam: not allowed with --no-constraints (greedy only)")
     if args.command == "train" and args.sub_epochs == args.full_epochs == 0:
         parser.error("arguments --sub-epochs, --full-epochs: not both 0 (nothing to count)")
+    if args.command == "train" and not 0.0 < args.heldout < 1.0:  # also true for NaN
+        parser.error(f"argument --heldout: must be in (0, 1), got {args.heldout}")
     try:
         return args.func(args)
     except SchemaError as err:

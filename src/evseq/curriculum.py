@@ -41,7 +41,7 @@ from .scorers import (
     count_ngrams,
     train_ngram,
 )
-from .span_index import TokenizedInput
+from .span_index import TokenizedInput, token_strings
 from .tokens import RESERVED_TOKENS
 
 Pair = tuple[TokenizedInput, Sequence[EventRecord]]
@@ -103,17 +103,21 @@ def generate_synthetic(
 ) -> list[Example]:
     """Plant schema-valid events into filler sentences, deterministically.
 
-    Mention words are drawn without replacement within a sentence and
-    filler words only from the leftovers, so every mention's token
-    sequence occurs exactly once.  Event count per sentence is uniform
-    on 0..max_events, so a fraction of sentences carry no events.
+    Each word of ``vocab`` is used once, and only if the tokenizer reads
+    it back as that one token and it is no schema label token.  Mention
+    words are drawn without replacement within a sentence and filler
+    words only from the leftovers, so every mention's token sequence
+    occurs exactly once.  Event count per sentence is uniform on
+    0..max_events, so a fraction of sentences carry no events.
     """
     excluded = schema.label_tokens | RESERVED_TOKENS
-    words = [w for w in vocab if w not in excluded]
+    words = [
+        w for w in dict.fromkeys(vocab) if w not in excluded and token_strings(w) == (w,)
+    ]
     if len(words) < 12:
         raise ValueError(
-            f"need at least 12 usable filler words, got {len(words)} "
-            "after removing schema label tokens"
+            f"need at least 12 usable filler words, got {len(words)} after removing "
+            "repeats, schema label tokens and words the tokenizer splits"
         )
     rng = random.Random(seed)
     examples = []

@@ -14,19 +14,20 @@ The decoding grammar depends on the schema alone, so it is compiled once
 per ``SchemaTries`` object (``EventSchema.tries`` is one per schema) and
 shared by every sentence, a state→allowed-token index in the manner of
 Willard & Louf (2023).  It is compiled in full the first time a decode
-needs it: every reachable state, in a list, with all of its transitions;
-nothing writes to it after that.  A state holds its phase, its
-label-trie node and event type, its legal structure and label tokens as
-a frozenset, a token→next-state-id table, and the id of the state a
-copied mention token leads to.  Transitions are ids, not states, so
-states never reference each other.  Mention tokens are not in the
-grammar: they are the keys of a node of the input's span trie, the only
-structure built per sentence.  A decode position is therefore a pair, a
-grammar state and a span-trie node (None where no mention token is
-legal); a grammar token steps to ``state.next[token]`` (and the span
-trie's root, if mention tokens may follow), a mention token to
-``state.span_next`` and the node's child.  Greedy and beam search walk
-these pairs and keep only the emitted prefix themselves;
+needs it: every reachable state with all of its transitions; nothing
+writes to it after that.  A state holds its phase, its label-trie node
+and event type, its legal structure and label tokens as a frozenset, a
+token→next-state table, and the state a copied mention token leads to.
+The grammar is thus a graph of states, loops included, owned by the
+tries; the cyclic collector frees it once its schema is dropped.  Mention
+tokens are not in the grammar: they are the keys of a node of the
+input's span trie, the only structure built per sentence.  A decode
+position is therefore a pair, a grammar state and a span-trie node (None
+where no mention token is legal); a grammar token steps to
+``state.next[token]`` (and the span trie's root, if mention tokens may
+follow), a mention token to ``state.span_next`` and the node's child.
+Greedy and beam search walk these pairs and keep only the emitted prefix
+and its log-probabilities themselves, one copy per hypothesis;
 ``DecodeState``, ``candidate_vocab`` and ``step`` are views on the same
 pairs: a state holds nothing but its fields, and every call replays its
 tokens to find its pair.  Beam search scores before it advances: each
@@ -172,16 +173,16 @@ class _State:
     ``partial_span``, the label-trie node while a label is spelled out,
     ``tokens``, its legal grammar tokens (structure and label tokens),
     and ``next``, its grammar transitions: each of ``tokens`` to the next
-    state's id in ``_Grammar.states``.  A state that takes mention tokens
-    from a span-trie node (a mention, or a label that may end here) has
-    ``span_next``, the id of the state a mention token leads to; other
-    states have None.
+    state.  A state that takes mention tokens from a span-trie node (a
+    mention, or a label that may end here) has ``span_next``, the state a
+    mention token leads to, which for a non-empty mention is the state
+    itself; other states have None.
     """
 
     __slots__ = ("phase", "depth", "label", "current", "node", "empty", "tokens", "next",
                  "span_next")
 
-    def __init__(self, phase, label, current, node, empty, tokens, span_next):
+    def __init__(self, phase, label, current, node, empty):
         self.phase = phase
         self.depth = _DEPTH[phase]
         self.label = label
@@ -189,9 +190,9 @@ class _State:
         self.node = node
         # at AWAIT_ROOT and AWAIT_EVENT: the input has no span
         self.empty = empty
-        self.tokens = tokens  # None once generation has ended
-        self.next: dict[str, int] = {}
-        self.span_next = span_next
+        self.tokens: frozenset[str] | None = None  # None once generation has ended
+        self.next: dict[str, _State] = {}
+        self.span_next: _State | None = None
 
     def as_view(self, tokens: tuple[str, ...], span: tuple[str, ...]) -> DecodeState:
         return DecodeState(tokens, self.depth, self.phase, self.label, span, self.current)
@@ -204,8 +205,11 @@ class _Grammar:
     of the mention copied so far (the span trie's root where a mention
     may start, None where no mention token is legal).  Only the states
     depend on the grammar, so the constructor compiles every state
-    reachable from ``start`` and ``start_empty`` into ``states``, a
-    state's id being its index there, each with all its transitions.
+    reachable from ``start`` and ``start_empty``, each with all its
+    transitions; ``states`` lists them.  The grammar is a graph of
+    states that link to each other, loops included (events, arguments,
+    mentions that go on); the tries own it and nothing in it refers back
+    to them, so once a schema is dropped the cyclic collector frees it.
     States are interned on their phase, the identity of their label-trie
     node, their event type and a flag: for a mention, whether it is
     still empty; at ``AWAIT_ROOT`` and ``AWAIT_EVENT``, whether the input
@@ -220,30 +224,32 @@ class _Grammar:
         self.type_root = tries.type_trie.root
         self.role_tries = tries.role_tries
         self.states: list[_State] = []
-        self._ids: dict[tuple, int] = {}
-        self.start = self.states[self._state(Phase.AWAIT_ROOT)]
-        self.start_empty = self.states[self._state(Phase.AWAIT_ROOT, empty=True)]
-        self.end = self.states[self._state(Phase.DONE)]
+        self._ids: dict[tuple, _State] = {}
+        self.start = self._state(Phase.AWAIT_ROOT)
+        self.start_empty = self._state(Phase.AWAIT_ROOT, empty=True)
+        self.end = self._state(Phase.DONE)
         # the list grows as transitions reach new states; the loop walks those too
         for state in self.states:
             for token in state.tokens or ():
                 state.next[token] = self._transition(state, token)
 
-    def _state(self, phase, node=None, current=None, empty=False, label=()) -> int:
-        """The id of a state, compiled if it is new."""
+    def _state(self, phase, node=None, current=None, empty=False, label=()) -> _State:
+        """A state, compiled if it is new."""
         key = (phase, id(node), current, empty)
-        i = self._ids.get(key)
-        if i is None:
-            i = self._compile(key, phase, node, current, empty, label)
-        return i
+        state = self._ids.get(key)
+        if state is None:
+            state = self._compile(key, phase, node, current, empty, label)
+        return state
 
-    def _compile(self, key, phase, node, current, empty, label) -> int:
-        """Append a new state; its legal tokens are the grammar part of
-        ``_legal``, built with the same expressions."""
-        span_next = None
+    def _compile(self, key, phase, node, current, empty, label) -> _State:
+        """Intern a new state, then set its legal tokens, the grammar part
+        of ``_legal`` built with the same expressions, and its
+        ``span_next``."""
+        state = self._ids[key] = _State(phase, label, current, node, empty)
+        self.states.append(state)
         if phase is Phase.DONE:
-            tokens = None
-        elif phase is Phase.AWAIT_ROOT:
+            return state
+        if phase is Phase.AWAIT_ROOT:
             tokens = frozenset({OPEN})
         elif phase is Phase.AWAIT_EVENT:
             cands = {CLOSE}
@@ -255,31 +261,31 @@ class _Grammar:
             if node.is_leaf:
                 # the label may end here; a mention token commits it
                 if phase is Phase.IN_TYPE_LABEL:
-                    span_next = self._state(Phase.IN_TRIGGER_SPAN, current=node.label)
+                    state.span_next = self._state(Phase.IN_TRIGGER_SPAN, current=node.label)
                 else:
-                    span_next = self._state(Phase.IN_ARG_SPAN, current=current)
+                    state.span_next = self._state(Phase.IN_ARG_SPAN, current=current)
         elif phase is Phase.IN_TRIGGER_SPAN or phase is Phase.IN_ARG_SPAN:
+            # a mention token leads to the non-empty mention: this state
+            # itself once it is one, since interning comes first
+            state.span_next = self._state(phase, current=current)
             if empty:
                 tokens = frozenset()
-                span_next = self._state(phase, current=current)
             else:
                 cands = {CLOSE}
                 if phase is Phase.IN_TRIGGER_SPAN and not self.role_tries[current].is_empty:
                     cands.add(OPEN)
                 tokens = frozenset(cands)
-                span_next = len(self.states)  # this state: the mention goes on
         elif phase is Phase.AWAIT_ARG:
             tokens = frozenset({OPEN, CLOSE})
         else:
             assert phase is Phase.AWAIT_END
             tokens = frozenset({EOS})
-        self.states.append(_State(phase, label, current, node, empty, tokens, span_next))
-        i = self._ids[key] = len(self.states) - 1
-        return i
+        state.tokens = tokens
+        return state
 
-    def _transition(self, state: _State, token: str) -> int:
-        """The id of the state after ``token``, one of ``state.tokens``
-        (label commitment as described in ``step``)."""
+    def _transition(self, state: _State, token: str) -> _State:
+        """The state after ``token``, one of ``state.tokens`` (label
+        commitment as described in ``step``)."""
         phase, current = state.phase, state.current
         if phase is Phase.IN_TYPE_LABEL or phase is Phase.IN_ROLE_LABEL:
             child = state.node.children[token]
@@ -340,14 +346,14 @@ def _legal(state: _State, node: Mapping | None) -> frozenset[str]:
     return frozenset(cands)
 
 
-def _move(grammar: _Grammar, root: Mapping, state: _State, node, span, token: str):
+def _move(root: Mapping, state: _State, node, span, token: str):
     """The position and mention span after ``token``, which must be legal:
     a grammar token first (a label goes on rather than end), else a
     mention token."""
     if token in state.tokens:
-        state = grammar.states[state.next[token]]
+        state = state.next[token]
         return state, (root if state.span_next is not None else None), ()
-    return grammar.states[state.span_next], node[token], span + (token,)
+    return state.span_next, node[token], span + (token,)
 
 
 def _view(state: DecodeState, tries: SchemaTries, span_trie: SpanTrie):
@@ -363,7 +369,7 @@ def _view(state: DecodeState, tries: SchemaTries, span_trie: SpanTrie):
     for token in (state.tokens + (EOS,)) if state.done else state.tokens:
         if here.tokens is None or token not in here.tokens and not (node and token in node):
             raise DecodeError(f"{state!r} is not a state its tokens lead to")
-        here, node, span = _move(grammar, span_trie.root, here, node, span, token)
+        here, node, span = _move(span_trie.root, here, node, span, token)
     if here.as_view(state.tokens, span) != state:
         raise DecodeError(f"{state!r} is not a state its tokens lead to")
     return grammar, here, node
@@ -402,7 +408,7 @@ def step(
             f"token {token!r} is not in the candidate vocabulary "
             f"(phase {state.phase.value}, depth {state.depth})"
         )
-    here, node, span = _move(grammar, span_trie.root, here, node, state.partial_span, token)
+    here, node, span = _move(span_trie.root, here, node, state.partial_span, token)
     # the end sentinel is not part of the linearized body
     tokens = state.tokens if here is grammar.end else state.tokens + (token,)
     return here.as_view(tokens, span)
@@ -505,7 +511,7 @@ def _greedy(
     scorer: Scorer, inp: TokenizedInput, grammar: _Grammar, span_trie: SpanTrie,
     config: DecodeConfig, context: int | None,
 ) -> DecodeResult:
-    states, end, root = grammar.states, grammar.end, span_trie.root
+    end, root = grammar.end, span_trie.root
     state = grammar.start_empty if span_trie.is_empty else grammar.start
     node = None
     prefix: list[str] = [BOS]
@@ -541,9 +547,9 @@ def _greedy(
                     chosen, best, copied = token, p, True
         logprobs.append(log(best) if best > 0.0 else -inf)
         if copied:
-            state, node = states[state.span_next], node[chosen]
+            state, node = state.span_next, node[chosen]
         else:
-            state = states[state.next[chosen]]
+            state = state.next[chosen]
             node = root if state.span_next is not None else None
         prefix.append(chosen)
     # drop the sentinels
@@ -575,56 +581,32 @@ def _greedy_unconstrained(
             return DecodeResult(tuple(prefix[1:-1]), tuple(logprobs))
 
 
-class _Hyp:
-    """A beam hypothesis at a decode position (grammar state and span
-    node); its log-probabilities are read back through ``parent`` links,
-    so extending one copies no history."""
-
-    __slots__ = ("state", "node", "prefix", "score", "logprob", "parent")
-
-    def __init__(self, state, node, prefix, score=0.0, logprob=0.0, parent=None):
-        self.state = state
-        self.node = node
-        self.prefix = prefix
-        # ((0.0 + lp1) + lp2) + ..., kept as the hypothesis grows
-        self.score = score
-        self.logprob = logprob
-        self.parent = parent
-
-    def logprobs(self) -> tuple[float, ...]:
-        out = []
-        hyp = self
-        while hyp.parent is not None:
-            out.append(hyp.logprob)
-            hyp = hyp.parent
-        return tuple(reversed(out))
-
-
 def _beam(
     scorer: Scorer, inp: TokenizedInput, grammar: _Grammar, span_trie: SpanTrie,
     config: DecodeConfig,
 ) -> DecodeResult:
-    states, end, root = grammar.states, grammar.end, span_trie.root
+    end, root = grammar.end, span_trie.root
     start = grammar.start_empty if span_trie.is_empty else grammar.start
-    live = [_Hyp(start, None, (BOS,))]
-    completed: list[_Hyp] = []
+    # a hypothesis is (-score, prefix, logprobs, state, node): its score is
+    # ((0.0 + lp1) + lp2) + ..., kept as the prefix and logprobs grow
+    live = [(-0.0, (BOS,), (), start, None)]
+    completed = []
     while live:
         if completed:
-            best_done = max(h.score for h in completed)
+            best_done = min(hyp[0] for hyp in completed)
             # per-step log-probs are <= 0, so live scores cannot recover
-            if all(h.score <= best_done for h in live):
+            if all(hyp[0] >= best_done for hyp in live):
                 break
-        if len(live[0].prefix) >= config.max_length:
+        if len(live[0][1]) >= config.max_length:
             break  # live prefixes share one length; none can finish
         # Score every legal continuation, advance only the survivors.  All
         # live prefixes have the same length, so (-score, prefix, token)
         # orders as (-score, prefix + (token,)) does; (prefix, token) is
         # unique, so the trailing fields never take part in a comparison.
         scored = []
-        for i, hyp in enumerate(live):
-            dist = scorer.next_distribution(inp, hyp.prefix)
-            score, prefix, state, node = hyp.score, hyp.prefix, hyp.state, hyp.node
-            tokens = state.tokens
+        for i, (neg_score, prefix, _, state, node) in enumerate(live):
+            dist = scorer.next_distribution(inp, prefix)
+            score, tokens = -neg_score, state.tokens
             for token in tokens:
                 p = dist.get(token, 0.0)
                 if not 0.0 <= p < inf:  # also false for NaN
@@ -643,25 +625,22 @@ def _beam(
         parents = live
         live = []
         for neg_score, prefix, token, i, lp in heapq.nsmallest(config.beam_width, scored):
-            parent = parents[i]
-            state = parent.state
+            _, _, logprobs, state, node = parents[i]
             if token in state.tokens:
-                state = states[state.next[token]]
+                state = state.next[token]
                 node = root if state.span_next is not None else None
             else:
-                state, node = states[state.span_next], parent.node[token]
-            hyp = _Hyp(state, node, prefix + (token,), -neg_score, lp, parent)
-            if state is end:
-                completed.append(hyp)
-            else:
-                live.append(hyp)
+                state, node = state.span_next, node[token]
+            hyp = (neg_score, prefix + (token,), logprobs + (lp,), state, node)
+            (completed if state is end else live).append(hyp)
     if not completed:
         raise TruncationError(
             f"no hypothesis finished within max_length={config.max_length} tokens"
         )
-    best = min(completed, key=lambda h: (-h.score, h.prefix))
+    # the best score, ties going to the smaller prefix
+    _, prefix, logprobs, _, _ = min(completed, key=lambda hyp: hyp[:2])
     # drop the sentinels
-    return DecodeResult(best.prefix[1:-1], best.logprobs())
+    return DecodeResult(prefix[1:-1], logprobs)
 
 
 def decode_batch(

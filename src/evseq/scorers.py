@@ -210,6 +210,13 @@ class NgramScorer:
     ):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
+        for name, value in (("alpha", alpha), ("copy_boost", copy_boost)):
+            try:
+                float(value)
+            except OverflowError:  # a huge int: it compares below inf, but no sum takes it
+                raise ValueError(
+                    f"{name} must be finite, got an int too large for a float"
+                ) from None
         if not 0.0 < alpha < inf:
             raise ValueError(f"alpha must be finite and > 0, got {alpha}")
         if not 1.0 <= copy_boost < inf:

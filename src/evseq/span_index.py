@@ -94,11 +94,11 @@ class SpanTrie:
     def __init__(self, tokens: Sequence[str], max_span_len: int = DEFAULT_MAX_SPAN_LEN):
         check_max_span_len(max_span_len)
         self.max_span_len = max_span_len
-        self.tokens = tuple(tokens)
+        tokens = tuple(tokens)
         self._root: dict = {}
-        for start in range(len(self.tokens)):
+        for start in range(len(tokens)):
             node = self._root
-            for token in self.tokens[start : start + max_span_len]:
+            for token in tokens[start : start + max_span_len]:
                 if token in RESERVED_TOKENS:
                     break
                 node = node.setdefault(token, {})

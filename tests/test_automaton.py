@@ -10,6 +10,7 @@ import pickle
 import random
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -144,13 +145,14 @@ BENCHMARK_SCHEMA = Path(__file__).resolve().parents[1] / "benchmarks" / "schema.
 
 def _check_complete(grammar):
     """Every state holds a transition for each of its grammar tokens, and
-    every id in the grammar is the index of a state."""
-    n = len(grammar.states)
-    assert sorted(grammar._ids.values()) == list(range(n))
+    every state the grammar links to is one of its states."""
+    ids = {id(state) for state in grammar.states}
+    assert len(ids) == len(grammar.states)
+    assert sorted(map(id, grammar._ids.values())) == sorted(ids)
     for state in grammar.states:
         assert set(state.next) == set(state.tokens or ())
-        assert all(0 <= i < n for i in state.next.values())
-        assert state.span_next is None or 0 <= state.span_next < n
+        assert all(id(nxt) in ids for nxt in state.next.values())
+        assert state.span_next is None or id(state.span_next) in ids
 
 
 def test_a_built_grammar_holds_every_state_and_transition():
@@ -176,8 +178,7 @@ def test_grammars_of_random_schemas_are_complete(seed):
     todo = list(reached)
     while todo:
         state = todo.pop()
-        ids = [*state.next.values(), *([state.span_next] if state.span_next is not None else [])]
-        for nxt in (grammar.states[i] for i in ids):
+        for nxt in [*state.next.values(), *([state.span_next] if state.span_next else [])]:
             if nxt not in reached:
                 reached.add(nxt)
                 todo.append(nxt)
@@ -325,10 +326,11 @@ def _decode_or_none(scorer, inp, schema):
     DecodeConfig(mode="beam", beam_width=3, max_length=64),
 ])
 def test_a_decode_leaves_no_cyclic_garbage(config):
-    # transitions are state ids, not references between states, so the
-    # event loop back to AWAIT_EVENT and the argument loop above make no
-    # reference cycles and reference counting frees a decode's automaton
-    # as soon as the decode ends
+    # the grammar's states link to each other in loops (the event loop
+    # back to AWAIT_EVENT, the argument loop above), but the schema keeps
+    # its grammar alive; what a decode builds itself (the span trie,
+    # prefixes, beam hypotheses) makes no reference cycles, so reference
+    # counting frees it as soon as the decode ends
     schema = parse_schema("Transfer-Money: Giver, Recipient\nTransfer-Ownership: Buyer")
     inp = TokenizedInput.from_tokens(["Money", "paid", "x"])
     scorer = UniformScorer(decoding_vocab(schema, inp))
@@ -345,9 +347,9 @@ def test_a_decode_leaves_no_cyclic_garbage(config):
 
 
 def test_a_public_step_walk_leaves_no_cyclic_garbage():
-    # a walk through step builds an automaton that the states it returns
-    # keep alive; its transitions are state ids, so dropping the last state
-    # frees it by reference counting, with nothing for the collector to do
+    # a walk through step compiles the grammar of the tries, which keep
+    # it; the states it returns are plain values that refer to no grammar
+    # state, so dropping the last one leaves nothing for the collector
     schema = parse_schema("T: R")
     inp = TokenizedInput.from_tokens(["a", "b"])
     tries, span_trie = SchemaTries.from_schema(schema), build_span_trie(inp)
@@ -363,6 +365,19 @@ def test_a_public_step_walk_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_dropped_schema_frees_its_grammar():
+    # the grammar's states link to each other in loops, so once its schema
+    # is dropped the cyclic collector frees it
+    schema = parse_schema("Transfer-Money: Giver, Recipient\nTransfer-Ownership: Buyer")
+    inp = TokenizedInput.from_tokens(["Money", "paid", "x"])
+    _decode_or_none(UniformScorer(decoding_vocab(schema, inp)), inp, schema)
+    grammar = weakref.ref(evseq.decoder._grammar(schema.tries))
+    assert grammar() is not None
+    del schema
+    gc.collect()
+    assert grammar() is None
 
 
 def test_total_logprob_is_a_left_fold():

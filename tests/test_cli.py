@@ -235,6 +235,13 @@ def test_malformed_dataset_and_scorer_files_exit_4(capsys, tmp_path, schema_file
     assert (code, out) == (4, "")
     assert err == f"error: {scorer}: alpha must be finite and > 0, got nan\n"
     assert not (tmp_path / "nan-preds.jsonl").exists()
+    for name in ("alpha", "copy_boost"):
+        scorer.write_text(json.dumps({**payload, "alpha": 0.1, name: 10**400}), encoding="utf-8")
+        code, out, err = run(capsys, "decode", gold_file, schema_file, str(scorer),
+                             "--out", str(tmp_path / "huge-preds.jsonl"))
+        assert (code, out) == (4, "")
+        assert err == f"error: {scorer}: {name} must be finite, got an int too large for a float\n"
+        assert not (tmp_path / "huge-preds.jsonl").exists()
     bad_rows.write_text('{"id": null, "text": "a", "events": []}\n', encoding="utf-8")
     code, _, err = run(capsys, "eval", gold_file, str(bad_rows))
     assert code == 4
@@ -387,6 +394,16 @@ def test_train_with_no_epochs_is_a_usage_error(capsys, tmp_path):
               "--sub-epochs", "0", "--full-epochs", "0"])
     assert exc.value.code == 2
     assert "arguments --sub-epochs, --full-epochs: not both 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.2", "nan", "inf"])
+def test_heldout_outside_zero_to_one_is_a_usage_error(capsys, tmp_path, value):
+    # rejected before the corpus is read: it does not exist
+    with pytest.raises(SystemExit) as exc:
+        main(["train", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "s.json"),
+              "--heldout", value])
+    assert exc.value.code == 2
+    assert f"argument --heldout: must be in (0, 1), got {float(value)}" in capsys.readouterr().err
 
 
 def test_beam_with_no_constraints_is_a_usage_error(capsys, tmp_path, schema_file, gold_file):

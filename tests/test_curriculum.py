@@ -10,8 +10,10 @@ from evseq import (
     generate_synthetic,
     ground_records,
     linearize,
+    read_dataset,
     save_scorer,
     train_ngram,
+    write_dataset,
 )
 from evseq.curriculum import (
     DEFAULT_WORDS,
@@ -148,6 +150,22 @@ def test_generate_synthetic_excludes_label_words():
     for ex in generate_synthetic(schema, seed=1, n_sentences=15):
         assert "alder" not in ex.inp.tokens
         assert "basil" not in ex.inp.tokens
+
+
+def test_generate_synthetic_skips_repeated_and_split_words(fig_schema, tmp_path):
+    # the tokenizer splits "well-known", "don't" and "x.y", so their
+    # offsets would not read back; a repeated word would occur twice
+    words = [*DEFAULT_WORDS[:12], "well-known", "don't", "x.y", "(", ""]
+    examples = generate_synthetic(fig_schema, vocab=words * 3, seed=4, n_sentences=200)
+    assert examples == generate_synthetic(fig_schema, vocab=DEFAULT_WORDS[:12], seed=4,
+                                          n_sentences=200)
+    path = tmp_path / "synth.jsonl"
+    write_dataset(examples, path)
+    readback = read_dataset(path)
+    assert readback == examples
+    for ex in readback:
+        seq = linearize(ex.records, fig_schema)
+        assert ground_records(delinearize(seq, fig_schema), ex.inp) == ex.records
 
 
 def test_generate_synthetic_needs_enough_words(fig_schema):

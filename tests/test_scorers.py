@@ -502,6 +502,13 @@ def test_ngram_parameter_validation():
     for copy_boost in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="copy_boost must be finite and >= 1"):
             NgramScorer(1, counts, copy_boost=copy_boost)
+    # ints too large for a float compare below inf but overflow in any sum
+    for name in ("alpha", "copy_boost"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got an int too large"):
+            NgramScorer(1, counts, **{name: 10**400})
+    # ints that a float holds are valid and kept as they are
+    scorer = NgramScorer(1, counts, alpha=10**300, copy_boost=3)
+    assert (scorer.alpha, scorer.copy_boost) == (10**300, 3)
     with pytest.raises(ValueError):
         train_ngram([])
 
