@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -327,10 +328,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "decode" and args.beam and args.no_constraints:
         parser.error("argument --beam: not allowed with --no-constraints (greedy only)")
-    if args.command == "train" and args.sub_epochs == args.full_epochs == 0:
-        parser.error("arguments --sub-epochs, --full-epochs: not both 0 (nothing to count)")
-    if args.command == "train" and not 0.0 < args.heldout < 1.0:  # also true for NaN
-        parser.error(f"argument --heldout: must be in (0, 1), got {args.heldout}")
+    if args.command == "train":
+        if args.sub_epochs == args.full_epochs == 0:
+            parser.error("arguments --sub-epochs, --full-epochs: not both 0 (nothing to count)")
+        # each range test below is also false for NaN
+        if not 0.0 < args.heldout < 1.0:
+            parser.error(f"argument --heldout: must be in (0, 1), got {args.heldout}")
+        if not 0.0 < args.alpha < math.inf:
+            parser.error(f"argument --alpha: must be finite and > 0, got {args.alpha}")
+        if not 1.0 <= args.copy_boost < math.inf:
+            parser.error(f"argument --copy-boost: must be finite and >= 1, got {args.copy_boost}")
     try:
         return args.func(args)
     except SchemaError as err:

@@ -254,12 +254,15 @@ def curriculum_train(
     """Train curriculum and direct regimes, score both on held-out NLL.
 
     The curriculum scorer counts substructure targets ``sub_epochs``
-    times and full targets ``full_epochs`` times (epochs act as pass
-    weights for a count model; one ≤ 0 adds nothing); the direct scorer
-    is exactly one pass over full targets, and its counts are the full
-    targets' share of the curriculum table.  Label tokens from the whole
-    corpus are folded into the vocabulary so held-out NLLs stay finite
-    under smoothing.
+    times and full targets ``full_epochs`` times; the direct scorer is
+    exactly one pass over full targets, and its counts are the full
+    targets' share of the curriculum table.  For a count model an epoch
+    count is a count weight (one ≤ 0 adds nothing), and under add-α
+    smoothing w passes at α give the distribution of one pass at α/w:
+    at the defaults the curriculum scorer (30 full passes) is smoothed
+    about 30 times more weakly than the direct one.  Label tokens from
+    the whole corpus are folded into the vocabulary so held-out NLLs
+    stay finite under smoothing.
     """
     train, heldout = split_corpus(corpus, heldout_fraction, seed)
     extra_vocab = _label_vocab(corpus)

@@ -8,7 +8,10 @@ scorer's distribution is consulted only on those tokens, so any scorer
 schema labels, and copies mentions verbatim from the input.
 
 Candidate probabilities are the scorer's raw values: masking never
-renormalizes, and scores accumulate in log domain.
+renormalizes, and scores accumulate in log domain.  A legal token whose
+score is non-finite or negative stops the decode with a ``DecodeError``
+that names the smallest such token in sorted order, so the message does
+not depend on the order a search meets tokens in, nor on string hashing.
 
 The decoding grammar depends on the schema alone, so it is compiled once
 per ``SchemaTries`` object (``EventSchema.tries`` is one per schema) and
@@ -242,8 +245,7 @@ class _Grammar:
         return state
 
     def _compile(self, key, phase, node, current, empty, label) -> _State:
-        """Intern a new state, then set its legal tokens, the grammar part
-        of ``_legal`` built with the same expressions, and its
+        """Intern a new state, then set its legal grammar tokens and its
         ``span_next``."""
         state = self._ids[key] = _State(phase, label, current, node, empty)
         self.states.append(state)
@@ -252,12 +254,9 @@ class _Grammar:
         if phase is Phase.AWAIT_ROOT:
             tokens = frozenset({OPEN})
         elif phase is Phase.AWAIT_EVENT:
-            cands = {CLOSE}
-            if not empty:
-                cands.add(OPEN)
-            tokens = frozenset(cands)
+            tokens = frozenset({CLOSE} if empty else {CLOSE, OPEN})
         elif phase is Phase.IN_TYPE_LABEL or phase is Phase.IN_ROLE_LABEL:
-            tokens = frozenset(set(node.children))
+            tokens = frozenset(node.children)
             if node.is_leaf:
                 # the label may end here; a mention token commits it
                 if phase is Phase.IN_TYPE_LABEL:
@@ -270,11 +269,10 @@ class _Grammar:
             state.span_next = self._state(phase, current=current)
             if empty:
                 tokens = frozenset()
+            elif phase is Phase.IN_TRIGGER_SPAN and not self.role_tries[current].is_empty:
+                tokens = frozenset({CLOSE, OPEN})
             else:
-                cands = {CLOSE}
-                if phase is Phase.IN_TRIGGER_SPAN and not self.role_tries[current].is_empty:
-                    cands.add(OPEN)
-                tokens = frozenset(cands)
+                tokens = frozenset({CLOSE})
         elif phase is Phase.AWAIT_ARG:
             tokens = frozenset({OPEN, CLOSE})
         else:
@@ -326,24 +324,12 @@ def _grammar(tries: SchemaTries) -> _Grammar:
 
 
 def _legal(state: _State, node: Mapping | None) -> frozenset[str]:
-    """The tokens legal at a position (see ``candidate_vocab``).  Each set
-    is built with the expressions of the phase-by-phase reference in
-    ``tests/oracles.py``, so iteration orders agree too: the first-bad-value
-    error of the search loops follows this order."""
+    """The tokens legal at a position (see ``candidate_vocab``): the
+    state's grammar tokens and the mention tokens of ``node``."""
     tokens = state.tokens
     if tokens is None:
         raise DecodeError("generation has ended; no candidates remain")
-    if node is None:
-        return tokens
-    if state.node is not None:  # a label that may end here
-        cands = set(state.node.children)
-        cands |= frozenset(node)
-    else:  # a mention
-        cands = set(frozenset(node))
-        for token in (CLOSE, OPEN):
-            if token in tokens:
-                cands.add(token)
-    return frozenset(cands)
+    return tokens if node is None else tokens.union(node)
 
 
 def _move(root: Mapping, state: _State, node, span, token: str):
@@ -470,8 +456,11 @@ def constrained_decode(
     of ``inp`` is built per call, and only for a constrained decode.
     Raises TruncationError when ``max_length`` is hit before the end
     sentinel, or, in constrained greedy mode, already at the first
-    repeated step of a scorer that declares ``context_size``; ValueError
-    for a declared ``context_size`` that is not a non-negative int.
+    repeated step of a scorer that declares ``context_size``; DecodeError
+    for a non-finite or negative score, naming the smallest legal token
+    that has one (unconstrained: the first such token in the
+    distribution's order); ValueError for a declared ``context_size``
+    that is not a non-negative int.
     """
     config = config or DecodeConfig()
     context = _context_size(scorer)
@@ -500,10 +489,10 @@ def _truncated(config: DecodeConfig) -> TruncationError:
 
 
 def _raise_first_bad(dist: Mapping[str, float], state: _State, node) -> None:
-    """Raise for the first token, in ``candidate_vocab`` order, whose
-    score is non-finite or negative; the search loops call this once
-    they have seen such a score."""
-    for token in _legal(state, node):
+    """Raise for the smallest legal token, in sorted order, whose score
+    is non-finite or negative; the search loops call this once they have
+    seen such a score, whatever order they met it in."""
+    for token in sorted(_legal(state, node)):
         _checked_prob(dist, token)
 
 

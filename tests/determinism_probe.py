@@ -1,18 +1,22 @@
 """Decode with ``RandomScorer``, greedy and beam, and print a digest.
 
 The digest covers every result's tokens, log-probabilities and
-``total_logprob``.  The probe needs only the standard library and
-evseq, so any supported interpreter can run it:
+``total_logprob``, and the error message of the same decode under a
+scorer whose values turn NaN part way, which names a legal token.  The
+probe needs only the standard library and evseq, so any supported
+interpreter, under any ``PYTHONHASHSEED``, can run it:
 
     PYTHONPATH=src python3.13 tests/determinism_probe.py
 
-Every interpreter must print the same digest.
+Every interpreter and every hash seed must print the same digest.
 """
 
 import hashlib
+import math
 
 from evseq import (
     DecodeConfig,
+    DecodeError,
     RandomScorer,
     TokenizedInput,
     TruncationError,
@@ -32,6 +36,18 @@ CONFIGS = (
 )
 
 
+class NaNFrom:
+    """``base``'s distributions until the prefix holds ``at`` tokens, then
+    NaN for every token."""
+
+    def __init__(self, base, at: int):
+        self.base, self.at = base, at
+
+    def next_distribution(self, inp, prefix):
+        dist = self.base.next_distribution(inp, prefix)
+        return dist if len(prefix) < self.at else dict.fromkeys(dist, math.nan)
+
+
 def digest(n_inputs: int = 30) -> str:
     h = hashlib.sha256()
     for i in range(n_inputs):
@@ -41,6 +57,11 @@ def digest(n_inputs: int = 30) -> str:
         inp = TokenizedInput.from_tokens(tokens)
         scorer = RandomScorer(decoding_vocab(SCHEMA, inp), seed=i)
         for config in CONFIGS:
+            try:
+                constrained_decode(NaNFrom(scorer, 2 + i % 6), inp, SCHEMA, config)
+                h.update(b"finished\n")
+            except DecodeError as err:
+                h.update((str(err) + "\n").encode())
             try:
                 result = constrained_decode(scorer, inp, SCHEMA, config)
             except TruncationError:

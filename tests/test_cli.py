@@ -318,15 +318,22 @@ def test_decode_writes_every_prediction_when_some_items_fail(
     )
 
 
-@pytest.mark.parametrize("option", [("--alpha", "nan"), ("--copy-boost", "inf")])
-def test_train_rejects_non_finite_smoothing(capsys, tmp_path, schema_file, option):
-    corpus = tmp_path / "corpus.jsonl"
-    scorer = tmp_path / "scorer.json"
-    run(capsys, "synth", schema_file, "--seed", "3", "--n", "5", "--out", str(corpus))
-    code, out, err = run(capsys, "train", str(corpus), "--out", str(scorer), *option)
-    assert (code, out) == (4, "")
-    assert f"{option[0][2:].replace('-', '_')} must be finite" in err
-    assert not scorer.exists()
+SMOOTHING_RANGES = {"--alpha": "finite and > 0", "--copy-boost": "finite and >= 1"}
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "nan"), ("--alpha", "inf"), ("--alpha", "0"), ("--alpha", "-1"),
+    ("--copy-boost", "nan"), ("--copy-boost", "inf"), ("--copy-boost", "0.5"),
+    ("--copy-boost", "-1"),
+])
+def test_smoothing_out_of_range_is_a_usage_error(capsys, tmp_path, flag, value):
+    # rejected before the corpus is read: it does not exist
+    with pytest.raises(SystemExit) as exc:
+        main(["train", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "s.json"),
+              flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be {SMOOTHING_RANGES[flag]}, got {float(value)}" in err
 
 
 OVERFLOW = "alpha=1e+308 and copy_boost=4.0 are too large: the smoothed scores sum to inf"

@@ -526,17 +526,33 @@ def random_walk(rng, schema, inp, soft_len):
         state = step(state, token, tries, span_trie)
 
 
-def _decode_or_truncate(decode):
+class SpoiledScorer:
+    """A random scorer that puts ``value`` on two random tokens at every
+    step from the ``at``-th on."""
+
+    def __init__(self, vocab, seed, value, at):
+        self.base = RandomScorer(vocab, seed)
+        self.seed, self.value, self.at = seed, value, at
+
+    def next_distribution(self, inp, prefix):
+        dist = self.base.next_distribution(inp, prefix)
+        if len(prefix) >= self.at:
+            rng = random.Random(f"{self.seed}:{len(prefix)}")
+            dist.update(dict.fromkeys(rng.sample(sorted(dist), 2), self.value))
+        return dist
+
+
+def _outcome(decode):
     try:
         return decode()
-    except TruncationError:
-        return "truncated"
+    except DecodeError as err:
+        return type(err).__name__, str(err)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**9),
-    kind=st.sampled_from(["random", "uniform", "empty", "gappy", "noisy-oracle"]),
+    kind=st.sampled_from(["random", "uniform", "empty", "gappy", "noisy-oracle", "spoiled"]),
     width=st.integers(min_value=1, max_value=5),
     max_length=st.integers(min_value=4, max_value=30),
 )
@@ -561,10 +577,14 @@ def test_beam_equals_reference_search(seed, kind, width, max_length):
             rng.choice((0.05, 0.3, 0.6)),
             vocab,
         ),
+        # bad scores: the smallest bad legal token is named
+        "spoiled": lambda: SpoiledScorer(
+            vocab, seed, rng.choice((math.nan, math.inf, -math.inf, -0.5)), rng.randint(1, 4)
+        ),
     }[kind]()
     config = DecodeConfig(mode="beam", beam_width=width, max_length=max_length)
-    got = _decode_or_truncate(lambda: constrained_decode(scorer, inp, schema, config))
-    want = _decode_or_truncate(lambda: reference_beam(scorer, inp, schema, config))
+    got = _outcome(lambda: constrained_decode(scorer, inp, schema, config))
+    want = _outcome(lambda: reference_beam(scorer, inp, schema, config))
     assert got == want  # tokens and logprobs, floats compared with ==
 
 
@@ -585,7 +605,7 @@ class TiedScorer:
 @given(
     seed=st.integers(min_value=0, max_value=10**9),
     kind=st.sampled_from(
-        ["random", "uniform", "empty", "gappy", "tied", "noisy-oracle"]
+        ["random", "uniform", "empty", "gappy", "tied", "noisy-oracle", "spoiled"]
     ),
     max_length=st.integers(min_value=4, max_value=30),
 )
@@ -609,34 +629,15 @@ def test_greedy_equals_reference_greedy(seed, kind, max_length):
             rng.choice((0.05, 0.3, 0.6)),
             vocab,
         ),
+        # bad scores: the smallest bad legal token is named
+        "spoiled": lambda: SpoiledScorer(
+            vocab, seed, rng.choice((math.nan, math.inf, -math.inf, -0.5)), rng.randint(1, 4)
+        ),
     }[kind]()
     config = DecodeConfig(max_length=max_length)
-    got = _decode_or_truncate(lambda: constrained_decode(scorer, inp, schema, config))
-    want = _decode_or_truncate(lambda: reference_greedy(scorer, inp, schema, config))
+    got = _outcome(lambda: constrained_decode(scorer, inp, schema, config))
+    want = _outcome(lambda: reference_greedy(scorer, inp, schema, config))
     assert got == want  # tokens and logprobs, floats compared with ==
-
-
-class SpoiledScorer:
-    """A random scorer that puts ``value`` on two random tokens at every
-    step from the ``at``-th on."""
-
-    def __init__(self, vocab, seed, value, at):
-        self.base = RandomScorer(vocab, seed)
-        self.seed, self.value, self.at = seed, value, at
-
-    def next_distribution(self, inp, prefix):
-        dist = self.base.next_distribution(inp, prefix)
-        if len(prefix) >= self.at:
-            rng = random.Random(f"{self.seed}:{len(prefix)}")
-            dist.update(dict.fromkeys(rng.sample(sorted(dist), 2), self.value))
-        return dist
-
-
-def _outcome(decode):
-    try:
-        return decode()
-    except DecodeError as err:
-        return type(err).__name__, str(err)
 
 
 @settings(max_examples=200, deadline=None)
@@ -835,7 +836,7 @@ def test_bad_value_on_a_later_non_chosen_token_names_it(mode, value, bad):
     inp = TokenizedInput.from_tokens(["x"])
     config = DecodeConfig(mode=mode, beam_width=2)
     state, tries, span_trie = replay((OPEN, OPEN), THREE_TYPES, inp)
-    first_bad = next(t for t in candidate_vocab(state, tries, span_trie) if t in bad)
+    first_bad = min(set(bad) & candidate_vocab(state, tries, span_trie))
     with pytest.raises(DecodeError, match=f"for {first_bad!r}: "):
         constrained_decode(LateBadScorer(value, bad), inp, THREE_TYPES, config)
 
@@ -869,7 +870,7 @@ def test_bad_value_at_a_mention_position_names_the_first_bad_token(mode, value, 
     inp = TokenizedInput.from_tokens(["x", "y", "x", "z", "w"])
     config = DecodeConfig(mode=mode, beam_width=2)
     state, tries, span_trie = replay(walk, THREE_TYPES, inp)
-    first_bad = next(t for t in candidate_vocab(state, tries, span_trie) if t in bad)
+    first_bad = min(set(bad) & candidate_vocab(state, tries, span_trie))
     with pytest.raises(DecodeError, match=f"for {re.escape(repr(first_bad))}: "):
         constrained_decode(MentionBadScorer(walk, value, bad), inp, THREE_TYPES, config)
 
@@ -931,9 +932,7 @@ def test_decoding_never_writes_to_a_distribution(fig_schema, fig_input, fig_seq)
             DecodeConfig(max_length=64, constrained=False),
         ):
             got, want = (
-                _decode_or_truncate(
-                    lambda: constrained_decode(one, fig_input, fig_schema, config)
-                )
+                _outcome(lambda: constrained_decode(one, fig_input, fig_schema, config))
                 for one in (ReadOnlyScorer(base), base)
             )
             assert got == want

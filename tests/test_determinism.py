@@ -1,8 +1,10 @@
-"""Decoding gives the same floats on every supported interpreter.
+"""Decoding gives the same floats on every supported interpreter, and
+the same results and error messages under every hash seed.
 
-The probe in ``determinism_probe.py`` runs here in-process and under
-each other ``python3.1x`` on PATH that starts; the test skips when
-none does.
+The probe in ``determinism_probe.py`` runs here in-process, under this
+interpreter with two ``PYTHONHASHSEED`` values, and under each other
+``python3.1x`` on PATH that starts; only the last test skips, when none
+does.
 """
 
 import os
@@ -17,6 +19,22 @@ from determinism_probe import digest
 
 PROBE = Path(__file__).with_name("determinism_probe.py")
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_probe(exe: str, **env: str) -> str:
+    """The digest the probe prints under ``exe``, with ``env`` set."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1", **env}
+    out = subprocess.run(
+        [exe, str(PROBE)], capture_output=True, text=True, timeout=300, env=env, check=True
+    )
+    return out.stdout.strip()
+
+
+def test_decodes_and_error_messages_agree_across_hash_seeds():
+    # a bad score names the smallest bad legal token, whatever order a
+    # set of strings iterates in under the process's hash seed
+    digests = {run_probe(sys.executable, PYTHONHASHSEED=seed) for seed in ("0", "1")}
+    assert digests == {digest()}
 
 
 def other_interpreters() -> list[str]:
@@ -44,10 +62,6 @@ def test_random_scorer_decodes_agree_across_interpreters():
     interpreters = other_interpreters()
     if not interpreters:
         pytest.skip("no other python3.1x interpreter on PATH starts")
-    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
     want = digest()
     for exe in interpreters:
-        out = subprocess.run(
-            [exe, str(PROBE)], capture_output=True, text=True, timeout=300, env=env, check=True
-        )
-        assert out.stdout.strip() == want, exe
+        assert run_probe(exe) == want, exe
