@@ -147,8 +147,12 @@ def cmd_train(args) -> int:
     )
     scorer = result.scorer_direct if args.direct else result.scorer_curriculum
     save_scorer(scorer, args.out)
-    regime = "direct" if args.direct else "curriculum"
-    print(f"saved {regime} scorer to {args.out}")
+    if args.direct:
+        regime = "direct scorer (full targets x1)"
+    else:
+        regime = (f"curriculum scorer (substructures x{args.sub_epochs}, "
+                  f"full targets x{args.full_epochs})")
+    print(f"saved {regime} to {args.out}")
     print(result.format_text())
     return EXIT_OK
 

@@ -59,9 +59,13 @@ class OracleScorer:
     While the prefix follows the target, the next target token gets
     probability 1−ε and the rest of the vocabulary shares ε evenly.
     Off the target path (or past its end) the distribution is uniform.
-    Every call returns a new dict, keyed in vocabulary order; on the
-    target path it is a copy of one ε/(V−1) dict, built on the first
-    such call, with the target token's value replaced.
+    Every call returns a new dict, keyed in vocabulary order, that the
+    caller owns.  Off the target path it is a copy of one uniform dict,
+    built on the first such call and kept for the scorer's lifetime; on
+    the target path it is a copy of one ε/(V−1) dict, built on the
+    first such call, with the target token's value replaced.  The call
+    for the last target token takes the ε dict itself, so a decode that
+    stays on the target path keeps no dict at all.
     """
 
     def __init__(
@@ -76,6 +80,7 @@ class OracleScorer:
         self.epsilon = epsilon
         self.vocab = tuple(sorted(set(vocab or ()) | set(self.stream)))
         self._rest: dict[str, float] | None = None
+        self._uniform: dict[str, float] | None = None
 
     def next_distribution(
         self, inp: TokenizedInput, prefix: Sequence[str]
@@ -83,7 +88,10 @@ class OracleScorer:
         i = len(prefix)
         on_target = i < len(self.stream) and tuple(prefix) == self.stream[:i]
         if not on_target:
-            return dict.fromkeys(self.vocab, 1.0 / len(self.vocab))
+            uniform = self._uniform
+            if uniform is None:
+                uniform = self._uniform = dict.fromkeys(self.vocab, 1.0 / len(self.vocab))
+            return uniform.copy()
         target_token = self.stream[i]
         if len(self.vocab) == 1:
             return {target_token: 1.0}

@@ -188,10 +188,21 @@ def test_train_direct_differs_from_curriculum(capsys, tmp_path, schema_file):
     code, out, _ = run(capsys, "train", str(corpus), "--out", str(direct), "--direct")
     assert code == 0
     assert "saved direct scorer" in out
+    assert out.splitlines()[0] == f"saved direct scorer (full targets x1) to {direct}"
     code, out, _ = run(capsys, "train", str(corpus), "--out", str(curriculum))
     assert code == 0
     assert "saved curriculum scorer" in out
+    assert out.splitlines()[0] == (
+        f"saved curriculum scorer (substructures x5, full targets x30) to {curriculum}"
+    )
     assert load_scorer(direct).counts != load_scorer(curriculum).counts
+    # full targets re-weighted, no substructure counted: the line says so
+    code, out, _ = run(capsys, "train", str(corpus), "--out", str(curriculum),
+                       "--sub-epochs", "0", "--alpha", "3.0")
+    assert code == 0
+    assert out.splitlines()[0] == (
+        f"saved curriculum scorer (substructures x0, full targets x30) to {curriculum}"
+    )
 
 
 def test_train_needs_at_least_two_sentences(capsys, tmp_path, schema_file, gold_file):

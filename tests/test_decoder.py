@@ -542,6 +542,19 @@ class SpoiledScorer:
         return dist
 
 
+class TiedScorer:
+    """A random scorer rounded to a few levels, -0.0 among them, so most
+    steps offer ties."""
+
+    def __init__(self, vocab, seed):
+        self.base = RandomScorer(vocab, seed)
+
+    def next_distribution(self, inp, prefix):
+        dist = self.base.next_distribution(inp, prefix)
+        n = len(dist)
+        return {t: -0.0 if p * n < 0.7 else round(p * n) / n for t, p in dist.items()}
+
+
 def _outcome(decode):
     try:
         return decode()
@@ -552,7 +565,9 @@ def _outcome(decode):
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**9),
-    kind=st.sampled_from(["random", "uniform", "empty", "gappy", "noisy-oracle", "spoiled"]),
+    kind=st.sampled_from(
+        ["random", "uniform", "empty", "gappy", "tied", "noisy-oracle", "spoiled"]
+    ),
     width=st.integers(min_value=1, max_value=5),
     max_length=st.integers(min_value=4, max_value=30),
 )
@@ -571,6 +586,8 @@ def test_beam_equals_reference_search(seed, kind, width, max_length):
         "uniform": lambda: UniformScorer(vocab),
         "empty": EmptyScorer,  # zero mass everywhere: every score is -inf
         "gappy": lambda: GappyScorer(vocab, seed),
+        # repeated values and -0.0: ties with the bar, equal probabilities
+        "tied": lambda: TiedScorer(vocab, seed),
         # long targets, and uniform ties once a hypothesis leaves them
         "noisy-oracle": lambda: oracle_scorer(
             random_walk(rng, schema, inp, rng.randint(2, max_length)),
@@ -586,19 +603,6 @@ def test_beam_equals_reference_search(seed, kind, width, max_length):
     got = _outcome(lambda: constrained_decode(scorer, inp, schema, config))
     want = _outcome(lambda: reference_beam(scorer, inp, schema, config))
     assert got == want  # tokens and logprobs, floats compared with ==
-
-
-class TiedScorer:
-    """A random scorer rounded to a few levels, -0.0 among them, so most
-    steps offer ties."""
-
-    def __init__(self, vocab, seed):
-        self.base = RandomScorer(vocab, seed)
-
-    def next_distribution(self, inp, prefix):
-        dist = self.base.next_distribution(inp, prefix)
-        n = len(dist)
-        return {t: -0.0 if p * n < 0.7 else round(p * n) / n for t, p in dist.items()}
 
 
 @settings(max_examples=200, deadline=None)

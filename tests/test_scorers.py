@@ -101,6 +101,42 @@ def test_oracle_distributions_equal_a_fromkeys_construction():
         dist.clear()
 
 
+class FromkeysOracle:
+    """An oracle whose every distribution is built from scratch."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+
+    def next_distribution(self, inp, prefix):
+        return fromkeys_oracle(self.scorer, prefix)
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.3])
+def test_oracle_beam_decodes_equal_fromkeys_ones(fig_schema, epsilon):
+    # wider beams leave the target path, where the kept uniform dict is copied
+    went_off = False
+    for ex in generate_synthetic(fig_schema, seed=7, n_sentences=12, max_events=2):
+        target, vocab = linearize(ex.records), decoding_vocab(fig_schema, ex.inp)
+        for width in range(1, 5):
+            config = DecodeConfig(mode="beam", beam_width=width, max_length=256)
+            scorer = OracleScorer(target, epsilon, vocab)
+            got = constrained_decode(scorer, ex.inp, fig_schema, config)
+            want = constrained_decode(FromkeysOracle(scorer), ex.inp, fig_schema, config)
+            assert got == want  # tokens and logprobs, floats compared with ==
+            went_off = went_off or scorer._uniform is not None
+    assert went_off
+
+
+def test_greedy_on_target_oracle_builds_no_uniform_dict(fig_schema):
+    for ex in generate_synthetic(fig_schema, seed=7, n_sentences=12):
+        target = linearize(ex.records)
+        scorer = OracleScorer(target, 0.01, decoding_vocab(fig_schema, ex.inp))
+        assert constrained_decode(scorer, ex.inp, fig_schema).tokens == target
+        assert scorer._uniform is None
+        scorer.next_distribution(ex.inp, ("<bos>", ")"))
+        assert scorer._uniform is not None
+
+
 def test_oracle_scorer_validates_epsilon():
     with pytest.raises(ValueError):
         OracleScorer(("(",), epsilon=1.0)
