@@ -71,12 +71,11 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 from math import inf, log
-from operator import add
 from typing import Mapping, Protocol, Sequence
 
 from .schema import EventSchema, SchemaTries
+from .scorers import _left_fold
 from .span_index import (
     DEFAULT_MAX_SPAN_LEN,
     SpanTrie,
@@ -424,9 +423,8 @@ class DecodeResult:
 
     @property
     def total_logprob(self) -> float:
-        # a left fold, as beam accumulates its scores; sum() compensates
-        # its rounding from Python 3.12 on
-        return reduce(add, self.logprobs, 0.0)
+        # a left fold, as beam accumulates its scores
+        return _left_fold(self.logprobs)
 
     @property
     def nll(self) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from collections.abc import ItemsView, Mapping
 from functools import reduce
 from itertools import repeat
@@ -23,6 +24,21 @@ from typing import Iterable, Sequence
 from .schema import EventSchema
 from .span_index import TokenizedInput
 from .tokens import BOS, EOS, RESERVED_TOKENS
+
+
+# The one left fold: ``values`` added left to right from 0.0, the same
+# float on every interpreter.  CPython's ``sum()`` adds them in C in that
+# order before 3.12; from 3.12 on it compensates its rounding (gh-100425),
+# so there, and on other interpreters, the fold is ``reduce``.
+if sys.implementation.name == "cpython" and sys.version_info < (3, 12):
+
+    def _left_fold(values: Iterable[float]) -> float:
+        return sum(values, 0.0)
+
+else:
+
+    def _left_fold(values: Iterable[float]) -> float:
+        return reduce(add, values, 0.0)
 
 
 def decoding_vocab(
@@ -121,10 +137,9 @@ class RandomScorer:
     """Deterministic pseudo-random distributions for fuzzing.
 
     The weights depend only on (seed, prefix): the prefix is hashed with
-    the seed into an RNG state, and they are normalized by their sum
-    taken as a left fold on every supported Python (``sum()`` compensates
-    its rounding from 3.12 on), so repeated runs and repeated queries
-    agree exactly, across platforms and interpreter versions.
+    the seed into an RNG state, and they are normalized by their
+    ``_left_fold``, so repeated runs and repeated queries agree exactly,
+    across platforms and interpreter versions.
     """
 
     def __init__(self, vocab: Iterable[str], seed: int):
@@ -139,7 +154,7 @@ class RandomScorer:
         key = f"{self.seed}".encode() + b"\x00" + "\x1f".join(prefix).encode()
         rng = random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
         weights = [rng.random() + 1e-6 for _ in self.vocab]
-        total = reduce(add, weights, 0.0)
+        total = _left_fold(weights)
         return {token: w / total for token, w in zip(self.vocab, weights)}
 
 
@@ -285,10 +300,9 @@ class NgramScorer:
         Each score is (count + α) × boost, and a token the table does not
         count scores 0 + α == α, so the scores start from the input's
         base scores and only the table's tokens are written.  They are
-        summed left to right (not with sum(), which rounds differently
-        from Python 3.12 on), and a value read is its score over the sum.
-        Raises ValueError when ``alpha`` and ``copy_boost`` are so large
-        that the sum overflows.
+        totalled by ``_left_fold``, and a value read is its score over the
+        total.  Raises ValueError when ``alpha`` and ``copy_boost`` are so
+        large that the total overflows.
         """
         table = self._table(prefix)
         copied, support, index, base, memo = self._support(inp.token_set)
@@ -301,7 +315,7 @@ class NgramScorer:
             i = index.get(token)
             if i is not None:  # a count outside the support is ignored
                 scores[i] = (count + alpha) * boost if token in copied else count + alpha
-        total = reduce(add, scores, 0.0)
+        total = _left_fold(scores)
         if not total < inf:
             raise ValueError(
                 f"alpha={alpha!r} and copy_boost={boost!r} are too large:"
@@ -437,21 +451,36 @@ def _is_strings(value) -> bool:
 def _counts_from_blob(blob, order: int) -> Counts:
     """The count tables of an artifact's ``counts`` list of ``[k, tables]``
     entries: each k in 1..order, each context a list of k−1 strings, each
-    table a map from string tokens to positive integer counts."""
+    table a map from string tokens to positive integer counts.  An order,
+    a context within an order, or a token within a table that comes twice
+    is an error, not a silent overwrite."""
     counts: Counts = {}
     for k, tables in blob:
         if not _is_int(k) or not 1 <= k <= order:
             raise ValueError(f"n-gram order {k!r} is not an integer in 1..{order}")
-        counts[k] = {}
-        for context, table in tables:
+        if k in counts:
+            raise ValueError(f"n-gram order {k} comes twice")
+        counts[k] = by_context = {}
+        for context, pairs in tables:
             if not _is_strings(context) or len(context) != k - 1:
                 raise ValueError(f"order-{k} context {context!r} is not {k - 1} strings")
-            table = dict(table)
+            key = tuple(context)
+            if key in by_context:
+                raise ValueError(f"order-{k} context {context!r} comes twice")
+            table = dict(pairs)
+            if len(table) != len(pairs):
+                seen = set()
+                for token, _count in pairs:
+                    if token in seen:
+                        raise ValueError(
+                            f"order-{k} context {context!r} counts token {token!r} twice"
+                        )
+                    seen.add(token)
             for token, count in table.items():
                 if not isinstance(token, str) or not _is_int(count) or count < 1:
                     raise ValueError(
                         f"count {token!r}: {count!r} is not a positive integer"
                         " for a string token"
                     )
-            counts[k][tuple(context)] = table
+            by_context[key] = table
     return counts

@@ -1,10 +1,12 @@
-"""Decode with ``RandomScorer``, greedy and beam, and print a digest.
+"""Decode with ``RandomScorer`` and a trained ``NgramScorer``, greedy and
+beam, and print a digest.
 
 The digest covers every result's tokens, log-probabilities and
-``total_logprob``, and the error message of the same decode under a
-scorer whose values turn NaN part way, which names a legal token.  The
-probe needs only the standard library and evseq, so any supported
-interpreter, under any ``PYTHONHASHSEED``, can run it:
+``total_logprob``, every truncation's message, and the error message of
+the random decode under a scorer whose values turn NaN part way, which
+names a legal token.  The probe needs only the standard library and
+evseq, so any supported interpreter, under any ``PYTHONHASHSEED``, can
+run it:
 
     PYTHONPATH=src python3.13 tests/determinism_probe.py
 
@@ -15,6 +17,8 @@ import hashlib
 import math
 
 from evseq import (
+    CLOSE,
+    OPEN,
     DecodeConfig,
     DecodeError,
     RandomScorer,
@@ -23,6 +27,8 @@ from evseq import (
     constrained_decode,
     decoding_vocab,
     parse_schema,
+    split_label,
+    train_ngram,
 )
 
 SCHEMA = parse_schema(
@@ -48,8 +54,41 @@ class NaNFrom:
         return dist if len(prefix) < self.at else dict.fromkeys(dist, math.nan)
 
 
+def ngram_targets(n_targets: int = 24) -> list[list[str]]:
+    """Linearized bodies of one or two events, each with up to two
+    arguments, their labels and words picked by index arithmetic."""
+    targets = []
+    for i in range(n_targets):
+        body = [OPEN]
+        for e in range(1 + i % 2):
+            etype = SCHEMA.types[(i + e) % len(SCHEMA.types)]
+            body += [OPEN, *split_label(etype), WORDS[(i * 5 + e) % len(WORDS)]]
+            for r, role in enumerate(SCHEMA.roles(etype)[: (i + e) % 3]):
+                body += [OPEN, *split_label(role), WORDS[(i * 3 + r * 7) % len(WORDS)], CLOSE]
+            body.append(CLOSE)
+        targets.append(body + [CLOSE])
+    return targets
+
+
+def hash_decodes(h, scorer, inp: TokenizedInput) -> None:
+    """Hash ``scorer``'s decode of ``inp`` under each config."""
+    for config in CONFIGS:
+        try:
+            result = constrained_decode(scorer, inp, SCHEMA, config)
+        except TruncationError as err:
+            h.update(f"truncated: {err}\n".encode())
+            continue
+        h.update(("\x1f".join(result.tokens) + "\n").encode())
+        h.update((" ".join(map(repr, result.logprobs)) + "\n").encode())
+        h.update((repr(result.total_logprob) + "\n").encode())
+
+
 def digest(n_inputs: int = 30) -> str:
     h = hashlib.sha256()
+    empty = TokenizedInput.from_tokens(())
+    ngram = train_ngram(
+        [(empty, target) for target in ngram_targets()], extra_vocab=SCHEMA.label_tokens
+    )
     for i in range(n_inputs):
         # inputs from arithmetic, not from random, whose algorithms may
         # change between interpreter versions
@@ -62,14 +101,8 @@ def digest(n_inputs: int = 30) -> str:
                 h.update(b"finished\n")
             except DecodeError as err:
                 h.update((str(err) + "\n").encode())
-            try:
-                result = constrained_decode(scorer, inp, SCHEMA, config)
-            except TruncationError:
-                h.update(b"truncated\n")
-                continue
-            h.update(("\x1f".join(result.tokens) + "\n").encode())
-            h.update((" ".join(map(repr, result.logprobs)) + "\n").encode())
-            h.update((repr(result.total_logprob) + "\n").encode())
+        hash_decodes(h, scorer, inp)
+        hash_decodes(h, ngram, inp)
     return h.hexdigest()
 
 

@@ -238,6 +238,26 @@ def test_malformed_dataset_and_scorer_files_exit_4(capsys, tmp_path, schema_file
                        "--out", str(tmp_path / "preds.jsonl"))
     assert code == 4
     assert f"{scorer}: malformed scorer artifact" in err
+    payload["counts"] = [*counts, counts[-1]]
+    scorer.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(capsys, "decode", gold_file, schema_file, str(scorer),
+                       "--out", str(tmp_path / "preds.jsonl"))
+    assert code == 4
+    assert f"{scorer}: malformed scorer artifact: n-gram order 3 comes twice" in err
+    tables = counts[-1][1]
+    payload["counts"] = [*counts[:-1], [3, [*tables, tables[0]]]]
+    scorer.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(capsys, "decode", gold_file, schema_file, str(scorer),
+                       "--out", str(tmp_path / "preds.jsonl"))
+    assert code == 4
+    assert f"order-3 context {tables[0][0]!r} comes twice" in err
+    context, pairs = tables[0]
+    payload["counts"] = [*counts[:-1], [3, [[context, [*pairs, pairs[0]]], *tables[1:]]]]
+    scorer.write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run(capsys, "decode", gold_file, schema_file, str(scorer),
+                       "--out", str(tmp_path / "preds.jsonl"))
+    assert code == 4
+    assert f"counts token {pairs[0][0]!r} twice" in err
     payload.update(counts=counts, alpha=float("nan"))
     scorer.write_text(json.dumps(payload), encoding="utf-8")
     assert '"alpha": NaN' in scorer.read_text(encoding="utf-8")

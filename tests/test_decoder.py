@@ -742,6 +742,42 @@ def test_greedy_with_a_declared_context_equals_the_full_search(seed, kind, max_l
     assert got == want  # tokens and logprobs, floats compared with ==
 
 
+@pytest.mark.parametrize("mode", ["greedy", "beam"])
+@pytest.mark.parametrize("kind", ["random", "ngram"])
+def test_a_decode_nll_is_the_scorer_side_nll(kind, mode):
+    # the decoder's NLL of a finished output is exactly the scorer's NLL
+    # of that output, so that the two can be compared to tell search
+    # errors from model errors
+    finished = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        schema = PREFIX_SCHEMA if seed % 4 == 0 else random_schema(rng, max_types=4, max_roles=3)
+        pool = ["x", "y", "z", *(t for name in schema.types for t in split_label(name))]
+
+        def sentence():
+            return TokenizedInput.from_tokens(
+                [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+            )
+
+        inp = sentence()
+        if kind == "ngram":
+            corpus = []
+            for _ in range(rng.randint(1, 6)):
+                one = sentence()
+                corpus.append((one, random_walk(rng, schema, one, rng.randint(2, 20))))
+            scorer = train_ngram(corpus, n=rng.randint(1, 4), extra_vocab=schema.label_tokens)
+        else:
+            scorer = RandomScorer(decoding_vocab(schema, inp), seed)
+        config = DecodeConfig(mode=mode, beam_width=rng.randint(1, 4), max_length=40)
+        try:
+            result = constrained_decode(scorer, inp, schema, config)
+        except TruncationError:
+            continue
+        finished += 1
+        assert result.nll == sequence_nll(scorer, inp, result.tokens)
+    assert finished >= 10
+
+
 class CountingUniform(UniformScorer):
     calls = 0
 

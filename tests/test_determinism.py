@@ -59,6 +59,8 @@ def other_interpreters() -> list[str]:
 
 
 def test_random_scorer_decodes_agree_across_interpreters():
+    # the probe's n-gram decodes too: CPython before 3.12 totals scores
+    # with sum(), later versions with reduce, and both are the left fold
     interpreters = other_interpreters()
     if not interpreters:
         pytest.skip("no other python3.1x interpreter on PATH starts")

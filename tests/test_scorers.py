@@ -3,6 +3,10 @@ import json
 import math
 import random
 import re
+import struct
+import sys
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +32,7 @@ from evseq import (
     uniform_scorer,
 )
 
+from evseq.scorers import _left_fold
 from oracles import (
     reference_eager_distribution,
     reference_next_distribution,
@@ -500,6 +505,34 @@ def test_random_scorer_normalizes_by_a_left_fold():
         assert list(dist.values()) == [w / total for w in weights]
 
 
+FOLD_ITEMS = st.one_of(
+    st.floats(),
+    st.sampled_from([
+        0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+        2.225073858507201e-308, sys.float_info.max, -sys.float_info.max, 1e308, -1e308,
+    ]),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([2**53 + 1, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**1024, -(2**1024)]),
+)
+
+
+def _fold_outcome(fold, values):
+    try:
+        return struct.pack("<d", fold(values))
+    except ArithmeticError as err:  # a float + int beyond the float range
+        return type(err)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(FOLD_ITEMS, max_size=80))
+def test_left_fold_is_reduce_bit_for_bit(values):
+    # CPython before 3.12 folds with sum(): floats, bools and ints that fit
+    # a C long are added in C, larger ints through float + int
+    want = _fold_outcome(lambda v: reduce(add, v, 0.0), values)
+    assert _fold_outcome(_left_fold, values) == want
+
+
 def test_ngram_extra_vocab_gets_smoothing_mass():
     scorer = train_ngram(one_item_corpus(), n=2, extra_vocab=["Transport"])
     dist = scorer.next_distribution(EMPTY, ("<bos>",))
@@ -616,6 +649,23 @@ def test_load_scorer_rejects_foreign_files(tmp_path):
         wrong_type.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(f"{wrong_type}: ")):
             load_scorer(wrong_type)
+    # a hand-edited copy that repeats an order, a context or a token is
+    # refused, not read as its last occurrence
+    repeated = tmp_path / "repeated.json"
+    save_scorer(train_ngram(one_item_corpus()), repeated)
+    payload = json.loads(repeated.read_text())
+    order_2 = payload["counts"][1]
+    context, pairs = order_2[1][0]
+    for counts, message in [
+        ([*payload["counts"], order_2], "n-gram order 2 comes twice"),
+        ([[2, [*order_2[1], [context, [["x", 1]]]]]], f"order-2 context {context!r} comes twice"),
+        ([[2, [[context, [*pairs, [pairs[0][0], 7]]]]]],
+         f"order-2 context {context!r} counts token {pairs[0][0]!r} twice"),
+    ]:
+        repeated.write_text(json.dumps({**payload, "counts": counts}))
+        with pytest.raises(ValueError) as err:
+            load_scorer(repeated)
+        assert str(err.value) == f"{repeated}: malformed scorer artifact: {message}"
     for key in ("counts", "order", "alpha", "copy_boost"):
         partial = tmp_path / f"no-{key}.json"
         save_scorer(train_ngram(one_item_corpus()), partial)
