@@ -36,18 +36,21 @@ pairs: a state holds nothing but its fields, and every call replays its
 tokens to find its pair.  Beam search scores before it advances: each
 live hypothesis keeps a running score, every legal token is scored as
 that score plus its log-probability, and only the ``beam_width``
-survivors are stepped.  While it scores, beam keeps a bar: once
-``beam_width`` candidates are kept, the largest key among the
-``beam_width`` best of them.  A candidate whose key exceeds the bar
-already has ``beam_width`` better ones and is not kept (ties with the
-bar are, and the final selection settles them); after each hypothesis
-the kept list is cut back to its ``beam_width`` best, which lowers the
-bar.  The bar is fixed while one hypothesis is scored, so within it a
-probability equal to the last one dropped is dropped too, before its
-log is taken.  This is threshold pruning (Freitag & Al-Onaizan 2017)
-done exactly: every legal probability is still read and checked first,
-so the survivors, the scorer calls and the error rule are those of a
-search that keeps every candidate.
+survivors are stepped.  While it scores, beam keeps the ``beam_width``
+best candidates so far, ordered as ``(-score, prefix, token)``, in one
+sorted list; once the list is full, the key ``-score`` of its last entry
+is the bar.  A candidate whose key exceeds the bar already has
+``beam_width`` better ones and is not kept; one that ties it is kept
+only if it sorts before the last entry, which it then replaces.  So
+the last entry only falls.  Each hypothesis remembers the last
+candidate it did not keep: a later one with the same probability has
+the same key and the same prefix, and if its token is larger (or the
+remembered key exceeded the bar) it sorts after a candidate that
+already lost, so it is dropped before its log is taken.  This is
+threshold pruning (Freitag & Al-Onaizan 2017) done exactly: every legal
+probability is still read and checked first, so the survivors, their
+order, the scorer calls and the error rule are those of a search that
+keeps every candidate.
 Greedy search is kept separate from beam width 1 because the two break
 ties differently (see ``constrained_decode``).
 
@@ -67,8 +70,8 @@ repeats, and unconstrained greedy decoding always runs to
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from math import inf, log
@@ -457,13 +460,13 @@ def constrained_decode(
     log-probability, ties going to the lexicographically smallest prefix,
     and compares finished hypotheses the same way, without length
     normalization; it scores every legal continuation first and advances
-    only the survivors, keeping no candidate that ``beam_width`` kept
-    ones already beat, and skipping the log of a probability equal to
-    the last one it dropped for the same hypothesis (see the module
-    docstring; the result is the same).  The two differ even at width
-    1: once a step has probability zero every beam score is -inf, so
-    beam falls back to token order while greedy still follows the
-    current step's probabilities.  The grammar comes from ``schema.tries``, built once
+    only the survivors, keeping a sorted list of the ``beam_width`` best
+    candidates so far and skipping, before its log, a candidate that
+    ties one its hypothesis already dropped and has a larger token (see
+    the module docstring; the result is the same).  The two differ even
+    at width 1: once a step has probability zero every beam score is
+    -inf, so beam falls back to token order while greedy still follows
+    the current step's probabilities.  The grammar comes from ``schema.tries``, built once
     per schema object, and is compiled once for it; only the span trie
     of ``inp`` is built per call, and only for a constrained decode.
     Raises TruncationError when ``max_length`` is hit before the end
@@ -604,27 +607,38 @@ def _beam(
         # live prefixes have the same length, so (-score, prefix, token)
         # orders as (-score, prefix + (token,)) does; (prefix, token) is
         # unique, so the trailing fields never take part in a comparison.
-        # `bar` is the width-th smallest key kept so far (see the module
-        # docstring); a p equal to the last one dropped for this
-        # hypothesis gives the same key and is dropped before its log.
+        # `scored` holds the width smallest candidates so far, sorted, and
+        # `bar` the key of its last once it is full (see the module
+        # docstring).  A candidate not kept is remembered by its p and its
+        # token ("" when its key exceeded the bar): a later one of this
+        # hypothesis with the same p and a larger token sorts after it, so
+        # it is skipped before its log.
         scored = []
         bar = inf
         for i, (neg_score, prefix, _, state, node) in enumerate(live):
             dist = scorer.next_distribution(inp, prefix)
             score, tokens = -neg_score, state.tokens
-            dropped = None
+            dropped_p, dropped_token = -1.0, ""
             for token in tokens:
                 p = dist.get(token, 0.0)
                 if not 0.0 <= p < inf:  # also false for NaN
                     _raise_first_bad(dist, state, node)
-                if p == dropped:
+                if p == dropped_p and token > dropped_token:
                     continue
                 lp = log(p) if p > 0.0 else -inf
                 key = -(score + lp)
                 if key > bar:
-                    dropped = p
+                    dropped_p, dropped_token = p, ""
                     continue
-                scored.append((key, prefix, token, i, lp))
+                cand = (key, prefix, token, i, lp)
+                if len(scored) == width:
+                    if not cand < scored[-1]:
+                        dropped_p, dropped_token = p, token
+                        continue
+                    scored.pop()
+                insort(scored, cand)
+                if len(scored) == width:
+                    bar = scored[-1][0]
             if node:
                 for token in node:
                     if token in tokens:
@@ -632,20 +646,25 @@ def _beam(
                     p = dist.get(token, 0.0)
                     if not 0.0 <= p < inf:
                         _raise_first_bad(dist, state, node)
-                    if p == dropped:
+                    if p == dropped_p and token > dropped_token:
                         continue
                     lp = log(p) if p > 0.0 else -inf
                     key = -(score + lp)
                     if key > bar:
-                        dropped = p
+                        dropped_p, dropped_token = p, ""
                         continue
-                    scored.append((key, prefix, token, i, lp))
-            if len(scored) >= width:
-                scored = heapq.nsmallest(width, scored)
-                bar = scored[-1][0]
+                    cand = (key, prefix, token, i, lp)
+                    if len(scored) == width:
+                        if not cand < scored[-1]:
+                            dropped_p, dropped_token = p, token
+                            continue
+                        scored.pop()
+                    insort(scored, cand)
+                    if len(scored) == width:
+                        bar = scored[-1][0]
         parents = live
         live = []
-        for neg_score, prefix, token, i, lp in heapq.nsmallest(width, scored):
+        for neg_score, prefix, token, i, lp in scored:
             _, _, logprobs, state, node = parents[i]
             if token in state.tokens:
                 state = state.next[token]

@@ -405,9 +405,19 @@ def save_scorer(scorer: NgramScorer, path) -> None:
 
 
 def load_scorer(path) -> NgramScorer:
-    """Read back an artifact written by ``save_scorer``."""
+    """Read back an artifact written by ``save_scorer``.  A JSON object
+    that repeats a key, such as a hand-edited count table, is refused
+    rather than read as the key's last value."""
+
+    def unique_keys(pairs):
+        table = dict(pairs)
+        if len(table) != len(pairs):
+            key = _first_repeat(key for key, _ in pairs)
+            raise ValueError(f"{path}: malformed scorer artifact: key {key!r} comes twice")
+        return table
+
     with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+        payload = json.load(handle, object_pairs_hook=unique_keys)
     if not isinstance(payload, dict) or payload.get("format") != NGRAM_FORMAT:
         raise ValueError(f"{path}: not a scorer artifact")
     if payload.get("version") != NGRAM_VERSION:
@@ -448,6 +458,15 @@ def _is_strings(value) -> bool:
     return isinstance(value, list) and all(isinstance(t, str) for t in value)
 
 
+def _first_repeat(keys):
+    """The first of ``keys`` that equals an earlier one."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            return key
+        seen.add(key)
+
+
 def _counts_from_blob(blob, order: int) -> Counts:
     """The count tables of an artifact's ``counts`` list of ``[k, tables]``
     entries: each k in 1..order, each context a list of k−1 strings, each
@@ -469,13 +488,8 @@ def _counts_from_blob(blob, order: int) -> Counts:
                 raise ValueError(f"order-{k} context {context!r} comes twice")
             table = dict(pairs)
             if len(table) != len(pairs):
-                seen = set()
-                for token, _count in pairs:
-                    if token in seen:
-                        raise ValueError(
-                            f"order-{k} context {context!r} counts token {token!r} twice"
-                        )
-                    seen.add(token)
+                token = _first_repeat(token for token, _ in pairs)
+                raise ValueError(f"order-{k} context {context!r} counts token {token!r} twice")
             for token, count in table.items():
                 if not isinstance(token, str) or not _is_int(count) or count < 1:
                     raise ValueError(

@@ -1,12 +1,15 @@
 """Decode with ``RandomScorer`` and a trained ``NgramScorer``, greedy and
-beam, and print a digest.
+beam, and with ``UniformScorer`` at several beam widths, and print a
+digest.
 
 The digest covers every result's tokens, log-probabilities and
 ``total_logprob``, every truncation's message, and the error message of
 the random decode under a scorer whose values turn NaN part way, which
-names a legal token.  The probe needs only the standard library and
-evseq, so any supported interpreter, under any ``PYTHONHASHSEED``, can
-run it:
+names a legal token.  Under the uniform scorer every candidate of a
+step ties, so beam search cuts grammar tokens, which it meets in the
+hash-seed dependent order of a frozenset, at its bar.  The probe needs
+only the standard library and evseq, so any supported interpreter,
+under any ``PYTHONHASHSEED``, can run it:
 
     PYTHONPATH=src python3.13 tests/determinism_probe.py
 
@@ -24,6 +27,7 @@ from evseq import (
     RandomScorer,
     TokenizedInput,
     TruncationError,
+    UniformScorer,
     constrained_decode,
     decoding_vocab,
     parse_schema,
@@ -39,6 +43,11 @@ WORDS = ("Money", "Buyer", "paid", "sold", "the", "house", "to", "him", "attack"
 CONFIGS = (
     DecodeConfig(max_length=48),
     DecodeConfig(mode="beam", beam_width=3, max_length=48),
+)
+# eight distinct words, not in sorted order
+TIED_INPUT = ("the", "house", "Money", "paid", "to", "him", "attack", "died")
+TIED_CONFIGS = tuple(
+    DecodeConfig(mode="beam", beam_width=width, max_length=48) for width in (1, 2, 4, 6)
 )
 
 
@@ -70,9 +79,9 @@ def ngram_targets(n_targets: int = 24) -> list[list[str]]:
     return targets
 
 
-def hash_decodes(h, scorer, inp: TokenizedInput) -> None:
-    """Hash ``scorer``'s decode of ``inp`` under each config."""
-    for config in CONFIGS:
+def hash_decodes(h, scorer, inp: TokenizedInput, configs=CONFIGS) -> None:
+    """Hash ``scorer``'s decode of ``inp`` under each of ``configs``."""
+    for config in configs:
         try:
             result = constrained_decode(scorer, inp, SCHEMA, config)
         except TruncationError as err:
@@ -103,6 +112,8 @@ def digest(n_inputs: int = 30) -> str:
                 h.update((str(err) + "\n").encode())
         hash_decodes(h, scorer, inp)
         hash_decodes(h, ngram, inp)
+    tied = TokenizedInput.from_tokens(TIED_INPUT)
+    hash_decodes(h, UniformScorer(decoding_vocab(SCHEMA, tied)), tied, TIED_CONFIGS)
     return h.hexdigest()
 
 

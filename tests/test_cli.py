@@ -258,6 +258,12 @@ def test_malformed_dataset_and_scorer_files_exit_4(capsys, tmp_path, schema_file
                        "--out", str(tmp_path / "preds.jsonl"))
     assert code == 4
     assert f"counts token {pairs[0][0]!r} twice" in err
+    text = json.dumps({**payload, "counts": [[1, [[[], "TABLE"]]]]})
+    scorer.write_text(text.replace('"TABLE"', '{"(": 1, "(": 5}'), encoding="utf-8")
+    code, _, err = run(capsys, "decode", gold_file, schema_file, str(scorer),
+                       "--out", str(tmp_path / "preds.jsonl"))
+    assert code == 4
+    assert f"{scorer}: malformed scorer artifact: key '(' comes twice" in err
     payload.update(counts=counts, alpha=float("nan"))
     scorer.write_text(json.dumps(payload), encoding="utf-8")
     assert '"alpha": NaN' in scorer.read_text(encoding="utf-8")

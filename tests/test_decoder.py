@@ -508,6 +508,34 @@ def test_beam_stops_when_live_ties_best_finished_at_minus_inf():
     assert got.tokens == (OPEN, CLOSE)
 
 
+class ForcedThenUniform:
+    """"( ( Attack" for the first three steps, ")" after an "a", and
+    uniform over ``vocab`` otherwise."""
+
+    def __init__(self, vocab):
+        self.uniform = UniformScorer(vocab)
+
+    def next_distribution(self, inp, prefix):
+        if len(prefix) <= 3:
+            return {(OPEN, OPEN, "Attack")[len(prefix) - 1]: 1.0}
+        if prefix[-1] == "a":
+            return {CLOSE: 1.0}
+        return self.uniform.next_distribution(inp, prefix)
+
+
+def test_beam_keeps_a_smaller_token_that_ties_a_dropped_one():
+    # The mention tokens m, n, z, a tie; with m and n kept, z ties the bar
+    # and loses on token order, but a, met after it with the same
+    # probability, sorts before the bar and must still be scored.
+    schema = parse_schema("Attack: Target")
+    inp = TokenizedInput.from_tokens(["m", "n", "z", "a"])
+    scorer = ForcedThenUniform(decoding_vocab(schema, inp))
+    config = DecodeConfig(mode="beam", beam_width=2, max_length=12)
+    got = constrained_decode(scorer, inp, schema, config)
+    assert got == reference_beam(scorer, inp, schema, config)
+    assert got.tokens == (OPEN, OPEN, "Attack", "a", CLOSE, CLOSE)
+
+
 def random_walk(rng, schema, inp, soft_len):
     """A random legal body: it closes only once past ``soft_len`` tokens."""
     tries = SchemaTries.from_schema(schema)

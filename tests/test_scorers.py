@@ -666,6 +666,12 @@ def test_load_scorer_rejects_foreign_files(tmp_path):
         with pytest.raises(ValueError) as err:
             load_scorer(repeated)
         assert str(err.value) == f"{repeated}: malformed scorer artifact: {message}"
+    # json.dumps writes no repeated key, so the object table is spliced in
+    text = json.dumps({**payload, "counts": [[1, [[[], "TABLE"]]]]})
+    repeated.write_text(text.replace('"TABLE"', '{"(": 1, "(": 5}'))
+    with pytest.raises(ValueError) as err:
+        load_scorer(repeated)
+    assert str(err.value) == f"{repeated}: malformed scorer artifact: key '(' comes twice"
     for key in ("counts", "order", "alpha", "copy_boost"):
         partial = tmp_path / f"no-{key}.json"
         save_scorer(train_ngram(one_item_corpus()), partial)
