@@ -33,24 +33,31 @@ Greedy and beam search walk these pairs and keep only the emitted prefix
 and its log-probabilities themselves, one copy per hypothesis;
 ``DecodeState``, ``candidate_vocab`` and ``step`` are views on the same
 pairs: a state holds nothing but its fields, and every call replays its
-tokens to find its pair.  Beam search scores before it advances: each
-live hypothesis keeps a running score, every legal token is scored as
-that score plus its log-probability, and only the ``beam_width``
-survivors are stepped.  While it scores, beam keeps the ``beam_width``
-best candidates so far, ordered as ``(-score, prefix, token)``, in one
-sorted list; once the list is full, the key ``-score`` of its last entry
-is the bar.  A candidate whose key exceeds the bar already has
-``beam_width`` better ones and is not kept; one that ties it is kept
-only if it sorts before the last entry, which it then replaces.  So
-the last entry only falls.  Each hypothesis remembers the last
-candidate it did not keep: a later one with the same probability has
-the same key and the same prefix, and if its token is larger (or the
-remembered key exceeded the bar) it sorts after a candidate that
-already lost, so it is dropped before its log is taken.  This is
-threshold pruning (Freitag & Al-Onaizan 2017) done exactly: every legal
-probability is still read and checked first, so the survivors, their
-order, the scorer calls and the error rule are those of a search that
-keeps every candidate.
+tokens to find its pair.  Each search scores a position's legal tokens
+with one loop body, the grammar tokens first, then the node's mention
+tokens.  A mention token equal to a label token comes round twice with
+the same probability; the label goes on, as in ``step``.  Greedy needs
+no check for it: the second copy ties the first and never beats it.
+Beam search scores before it advances: each live hypothesis keeps a
+running score, every legal token is scored as that score plus its
+log-probability, and only the ``beam_width`` survivors are stepped.
+While it scores, beam keeps the ``beam_width`` best candidates so far,
+ordered as ``(-score, prefix, token)``, in one sorted list; once the
+list is full, the key ``-score`` of its last entry is the bar.  A
+candidate whose key exceeds the bar already has ``beam_width`` better
+ones and is not kept; one that ties it is kept only if it sorts before
+the last entry, which it then replaces.  So the last entry only falls.
+Each hypothesis remembers the last candidate it did not keep: a later
+one with the same probability has the same key and the same prefix, and
+if its token is larger (or the remembered key exceeded the bar) it sorts
+after a candidate that already lost, so it is dropped before its log is
+taken.  A label token's second copy is dropped only once it beats the
+bar, just before it would be kept; before that, the bar and the skip
+treat it as they would the first copy.  This is threshold pruning
+(Freitag & Al-Onaizan 2017) done exactly: every legal probability is
+still read and checked first, so the survivors, their order, the scorer
+calls and the error rule are those of a search that keeps every
+candidate.
 Greedy search is kept separate from beam width 1 because the two break
 ties differently (see ``constrained_decode``).
 
@@ -74,6 +81,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from math import inf, log
 from typing import Mapping, Protocol, Sequence
 
@@ -167,6 +175,10 @@ class DecodeConfig:
     def __post_init__(self):
         if self.mode not in ("greedy", "beam"):
             raise ValueError(f"unknown decode mode {self.mode!r}")
+        for name in ("beam_width", "max_length"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         if self.max_length < 4:
@@ -463,12 +475,16 @@ def constrained_decode(
     only the survivors, keeping a sorted list of the ``beam_width`` best
     candidates so far and skipping, before its log, a candidate that
     ties one its hypothesis already dropped and has a larger token (see
-    the module docstring; the result is the same).  The two differ even
-    at width 1: once a step has probability zero every beam score is
-    -inf, so beam falls back to token order while greedy still follows
-    the current step's probabilities.  The grammar comes from ``schema.tries``, built once
-    per schema object, and is compiled once for it; only the span trie
-    of ``inp`` is built per call, and only for a constrained decode.
+    the module docstring; the result is the same).  Both scan a
+    position's grammar tokens, then its mention tokens, in one loop; a
+    mention token equal to a label token counts once, as the label,
+    which beam checks only for a candidate it would keep.  The two differ
+    even at width 1: once a step has probability zero every beam score
+    is -inf, so beam falls back to token order while greedy still
+    follows the current step's probabilities.  The grammar comes from
+    ``schema.tries``, built once per schema object, and is compiled once
+    for it; only the span trie of ``inp`` is built per call, and only
+    for a constrained decode.
     Raises TruncationError when ``max_length`` is hit before the end
     sentinel, or, in constrained greedy mode, already at the first
     repeated step of a scorer that declares ``context_size``; DecodeError
@@ -533,28 +549,22 @@ def _greedy(
             seen.add(key)
         dist = scorer.next_distribution(inp, query)
         # the smallest (-p, token) over the grammar tokens, then the
-        # mention tokens; a mention token equal to a label token never
-        # beats it, so the label goes on, as in step
-        chosen, best, copied = None, -1.0, False
-        for token in state.tokens:
+        # mention tokens; a mention token equal to a label token ties it
+        # and never beats it, so the label goes on, as in step
+        tokens = state.tokens
+        chosen, best = None, -1.0
+        for token in chain(tokens, node) if node else tokens:
             p = dist.get(token, 0.0)
             if not 0.0 <= p < inf:  # also false for NaN
                 _raise_first_bad(dist, state, node)
             if p > best or (p == best and token < chosen):
                 chosen, best = token, p
-        if node:
-            for token in node:
-                p = dist.get(token, 0.0)
-                if not 0.0 <= p < inf:
-                    _raise_first_bad(dist, state, node)
-                if p > best or (p == best and token < chosen):
-                    chosen, best, copied = token, p, True
         logprobs.append(log(best) if best > 0.0 else -inf)
-        if copied:
-            state, node = state.span_next, node[chosen]
-        else:
+        if chosen in tokens:
             state = state.next[chosen]
             node = root if state.span_next is not None else None
+        else:
+            state, node = state.span_next, node[chosen]
         prefix.append(chosen)
     # drop the sentinels
     return DecodeResult(tuple(prefix[1:-1]), tuple(logprobs))
@@ -612,39 +622,18 @@ def _beam(
         # docstring).  A candidate not kept is remembered by its p and its
         # token ("" when its key exceeded the bar): a later one of this
         # hypothesis with the same p and a larger token sorts after it, so
-        # it is skipped before its log.
+        # it is skipped before its log.  The grammar tokens come first,
+        # then the mention tokens.
         scored = []
         bar = inf
         for i, (neg_score, prefix, _, state, node) in enumerate(live):
             dist = scorer.next_distribution(inp, prefix)
             score, tokens = -neg_score, state.tokens
             dropped_p, dropped_token = -1.0, ""
-            for token in tokens:
-                p = dist.get(token, 0.0)
-                if not 0.0 <= p < inf:  # also false for NaN
-                    _raise_first_bad(dist, state, node)
-                if p == dropped_p and token > dropped_token:
-                    continue
-                lp = log(p) if p > 0.0 else -inf
-                key = -(score + lp)
-                if key > bar:
-                    dropped_p, dropped_token = p, ""
-                    continue
-                cand = (key, prefix, token, i, lp)
-                if len(scored) == width:
-                    if not cand < scored[-1]:
-                        dropped_p, dropped_token = p, token
-                        continue
-                    scored.pop()
-                insort(scored, cand)
-                if len(scored) == width:
-                    bar = scored[-1][0]
-            if node:
-                for token in node:
-                    if token in tokens:
-                        continue  # a label token, scored above: the label goes on
+            for source in (tokens, node) if node else (tokens,):
+                for token in source:
                     p = dist.get(token, 0.0)
-                    if not 0.0 <= p < inf:
+                    if not 0.0 <= p < inf:  # also false for NaN
                         _raise_first_bad(dist, state, node)
                     if p == dropped_p and token > dropped_token:
                         continue
@@ -653,6 +642,8 @@ def _beam(
                     if key > bar:
                         dropped_p, dropped_token = p, ""
                         continue
+                    if source is node and token in tokens:
+                        continue  # a label token's second copy: the label goes on
                     cand = (key, prefix, token, i, lp)
                     if len(scored) == width:
                         if not cand < scored[-1]:

@@ -76,6 +76,8 @@ def token_strings(text: str) -> tuple[str, ...]:
 
 def check_max_span_len(max_span_len: int) -> None:
     """Raise ValueError unless spans of ``max_span_len`` tokens can be copied."""
+    if not isinstance(max_span_len, int) or isinstance(max_span_len, bool):
+        raise ValueError(f"max_span_len must be an int, got {max_span_len!r}")
     if max_span_len < 1:
         raise ValueError(f"max_span_len must be >= 1, got {max_span_len}")
 

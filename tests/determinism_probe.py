@@ -6,10 +6,13 @@ The digest covers every result's tokens, log-probabilities and
 ``total_logprob``, every truncation's message, and the error message of
 the random decode under a scorer whose values turn NaN part way, which
 names a legal token.  Under the uniform scorer every candidate of a
-step ties, so beam search cuts grammar tokens, which it meets in the
-hash-seed dependent order of a frozenset, at its bar.  The probe needs
-only the standard library and evseq, so any supported interpreter,
-under any ``PYTHONHASHSEED``, can run it:
+step ties, so each beam decode follows token order alone: widths 1 and 2
+truncate, since "( (" sorts before "( )" and keeps opening events, and
+widths 4 and 6 return "( )".  These decodes pin the truncation message
+and the uniform log-probabilities; they cannot show the order in which
+beam meets tied tokens, since any order of its cut gives these results.
+The probe needs only the standard library and evseq, so any supported
+interpreter, under any ``PYTHONHASHSEED``, can run it:
 
     PYTHONPATH=src python3.13 tests/determinism_probe.py
 

@@ -387,6 +387,25 @@ def test_decode_config_validation():
         DecodeConfig(mode="beam", beam_width=4, constrained=False)
 
 
+@pytest.mark.parametrize("field", ["beam_width", "max_length"])
+@pytest.mark.parametrize("value", [2.5, 12.0, True, "12", None])
+def test_decode_config_rejects_a_width_or_length_that_is_not_an_int(field, value):
+    # a float width never equals the beam's length, so beam would keep
+    # every candidate
+    with pytest.raises(ValueError, match=rf"^{field} must be an int, got {re.escape(repr(value))}$"):
+        DecodeConfig(mode="beam", **{field: value})
+
+
+@pytest.mark.parametrize("constrained", [True, False])
+@pytest.mark.parametrize("value", [2.5, 4.0, True, "4"])
+def test_decode_rejects_a_span_cap_that_is_not_an_int(
+    fig_schema, fig_input, fig_seq, constrained, value
+):
+    config = DecodeConfig(constrained=constrained)
+    with pytest.raises(ValueError, match=rf"^max_span_len must be an int, got {re.escape(repr(value))}$"):
+        constrained_decode(oracle_scorer(fig_seq), fig_input, fig_schema, config, max_span_len=value)
+
+
 def test_unconstrained_matches_constrained_when_argmax_is_valid(
     fig_schema, fig_input, fig_seq
 ):
@@ -534,6 +553,43 @@ def test_beam_keeps_a_smaller_token_that_ties_a_dropped_one():
     got = constrained_decode(scorer, inp, schema, config)
     assert got == reference_beam(scorer, inp, schema, config)
     assert got.tokens == (OPEN, OPEN, "Attack", "a", CLOSE, CLOSE)
+
+
+class PrefixTable:
+    """The distribution ``table`` lists for a prefix, ``rest`` for any
+    other prefix."""
+
+    def __init__(self, table, rest):
+        self.table, self.rest = table, rest
+
+    def next_distribution(self, inp, prefix):
+        return self.table.get(tuple(prefix), self.rest)
+
+
+def test_a_label_token_that_is_also_an_input_word_is_a_candidate_once():
+    # After "( ( End", "Position" is both a label token (End-Position goes
+    # on) and a mention token (End takes the input word).  Beam must keep
+    # it once, as the label: kept twice, the two copies fill the beam and
+    # push out "x", whose output scores best.
+    schema = parse_schema("End:\nEnd-Position:")
+    inp = TokenizedInput.from_tokens(["Position", "x"])
+    scorer = PrefixTable(
+        {
+            (BOS,): {OPEN: 1.0},
+            (BOS, OPEN): {OPEN: 0.9, CLOSE: 0.1},
+            (BOS, OPEN, OPEN): {"End": 1.0},
+            (BOS, OPEN, OPEN, "End"): {"Position": 0.5, "x": 0.4, CLOSE: 0.1},
+        },
+        {CLOSE: 0.9, EOS: 0.09, "Position": 0.005, "x": 0.005},
+    )
+    beam = DecodeConfig(mode="beam", beam_width=2, max_length=12)
+    got = constrained_decode(scorer, inp, schema, beam)
+    assert got == reference_beam(scorer, inp, schema, beam)
+    assert got.tokens == (OPEN, OPEN, "End", "x", CLOSE, CLOSE)
+    greedy = DecodeConfig(max_length=12)
+    got = constrained_decode(scorer, inp, schema, greedy)
+    assert got == reference_greedy(scorer, inp, schema, greedy)
+    assert got.tokens == (OPEN, OPEN, "End", "Position", "Position", CLOSE, CLOSE)
 
 
 def random_walk(rng, schema, inp, soft_len):
