@@ -198,18 +198,18 @@ def to_tree(
 def tree_to_seq(tree: TreeNode) -> tuple[str, ...]:
     """Render a labeled tree depth-first into the parenthesized form."""
     out: list[str] = []
-
-    def render(node: TreeNode) -> None:
-        out.append(OPEN)
-        if node.label is not None:
-            out.extend(split_label(node.label))
-        out.extend(node.span)
-        for child in node.children:
-            render(child)
-        out.append(CLOSE)
-
-    render(tree)
+    _render(tree, out)
     return tuple(out)
+
+
+def _render(node: TreeNode, out: list[str]) -> None:
+    out.append(OPEN)
+    if node.label is not None:
+        out.extend(split_label(node.label))
+    out.extend(node.span)
+    for child in node.children:
+        _render(child, out)
+    out.append(CLOSE)
 
 
 class _Parser:

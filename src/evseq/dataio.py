@@ -26,6 +26,10 @@ from typing import Iterable, Sequence
 from .codec import Argument, EventRecord, Mention
 from .span_index import TokenizedInput, token_strings, tokenize
 
+# json.dumps(obj, ensure_ascii=False) builds a new encoder per call; one
+# encoder with the same settings writes the same bytes
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
 
 class DataError(ValueError):
     """Malformed dataset content; carries a ``location`` such as file:line."""
@@ -145,7 +149,7 @@ def example_to_obj(example: Example) -> dict:
 def write_dataset(examples: Iterable[Example], path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for example in examples:
-            handle.write(json.dumps(example_to_obj(example), ensure_ascii=False))
+            handle.write(_ENCODER.encode(example_to_obj(example)))
             handle.write("\n")
 
 

@@ -65,14 +65,17 @@ A scorer may declare ``context_size``, the number of trailing prefix
 tokens its distributions read besides the input.  Each greedy step is
 then a deterministic function of the triple (grammar state, span-trie
 node, last ``context_size`` tokens): the triple fixes the distribution,
-hence the chosen token, hence the next triple.  So once a triple
-repeats, the decode is in a cycle, and since the end state stops the
-loop, no triple in the cycle is the end: the decode could only run on
-to ``max_length``.  Greedy raises that ``TruncationError``, with the
-same message, at the first repeat.  Beam search does not stop early: a
-hypothesis's accumulated score is part of its state, and it never
-repeats, and unconstrained greedy decoding always runs to
-``max_length``.
+hence the chosen token, hence the next triple.  The node is keyed by
+``id``: the span trie may share one node between spans, but spans that
+share a node share its whole subtree, so the mention has the same
+future after either, and a repeat is found at the same step as by span
+or earlier.  So once a triple repeats, the decode is in a cycle, and
+since the end state stops the loop, no triple in the cycle is the end:
+the decode could only run on to ``max_length``.  Greedy raises that
+``TruncationError``, with the same message, at the first repeat.  Beam
+search does not stop early: a hypothesis's accumulated score is part of
+its state, and it never repeats, and unconstrained greedy decoding
+always runs to ``max_length``.
 """
 
 from __future__ import annotations

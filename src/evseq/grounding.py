@@ -26,6 +26,34 @@ def _grounded_mention(mention: Mention, inp: TokenizedInput, start: int) -> Ment
     return Mention(mention.text, start, inp.char_spans[start][0], tokens)
 
 
+def _ground_trigger(
+    trigger: Mention, inp: TokenizedInput, cursor: int
+) -> tuple[Mention, int]:
+    """The cursor rule: ``trigger`` at its first occurrence at or after
+    ``cursor``, and the cursor after it (unmoved on a failed match)."""
+    for start in find_occurrences(inp.tokens, trigger.tokens):
+        if start >= cursor:
+            return _grounded_mention(trigger, inp, start), start + len(trigger.tokens)
+    return Mention(trigger.text, tokens=trigger.tokens), cursor
+
+
+def _ground_args(
+    args: tuple[Argument, ...], inp: TokenizedInput, anchor: int
+) -> tuple[Argument, ...]:
+    """The nearest rule: each argument at the occurrence whose start is
+    nearest ``anchor``; ``min`` keeps the earlier of two as near."""
+    out = []
+    for arg in args:
+        occs = find_occurrences(inp.tokens, arg.mention.tokens)
+        if occs:
+            start = min(occs, key=lambda s: abs(s - anchor))
+            mention = _grounded_mention(arg.mention, inp, start)
+        else:
+            mention = Mention(arg.mention.text, tokens=arg.mention.tokens)
+        out.append(Argument(arg.role, mention))
+    return tuple(out)
+
+
 def ground_triggers(
     records: Iterable[EventRecord], inp: TokenizedInput
 ) -> tuple[EventRecord, ...]:
@@ -33,13 +61,7 @@ def ground_triggers(
     cursor = 0
     out = []
     for record in records:
-        toks = record.trigger.tokens
-        occs = [i for i in find_occurrences(inp.tokens, toks) if i >= cursor]
-        if occs:
-            trigger = _grounded_mention(record.trigger, inp, occs[0])
-            cursor = occs[0] + len(toks)
-        else:
-            trigger = Mention(record.trigger.text, tokens=record.trigger.tokens)
+        trigger, cursor = _ground_trigger(record.trigger, inp, cursor)
         out.append(EventRecord(record.type, trigger, record.args))
     return tuple(out)
 
@@ -51,29 +73,24 @@ def ground_arguments(record: EventRecord, inp: TokenizedInput) -> EventRecord:
         raise ValueError(
             f"trigger {record.trigger.text!r} must be grounded before its arguments"
         )
-    args = []
-    for arg in record.args:
-        occs = find_occurrences(inp.tokens, arg.mention.tokens)
-        if occs:
-            start = min(occs, key=lambda s: (abs(s - anchor), s))
-            mention = _grounded_mention(arg.mention, inp, start)
-        else:
-            mention = Mention(arg.mention.text, tokens=arg.mention.tokens)
-        args.append(Argument(arg.role, mention))
-    return EventRecord(record.type, record.trigger, tuple(args))
+    return EventRecord(record.type, record.trigger, _ground_args(record.args, inp, anchor))
 
 
 def ground_records(
     records: Iterable[EventRecord], inp: TokenizedInput
 ) -> tuple[EventRecord, ...]:
-    """Full grounding pass: triggers first, then arguments per record.
+    """Full grounding pass, one record at a time: its trigger, then its
+    arguments.
 
     Records whose trigger found no match keep all their mentions
     ungrounded; their arguments have no anchor to measure from.
     """
+    cursor = 0
     out = []
-    for record in ground_triggers(records, inp):
-        if record.trigger.grounded:
-            record = ground_arguments(record, inp)
-        out.append(record)
+    for record in records:
+        trigger, cursor = _ground_trigger(record.trigger, inp, cursor)
+        args = record.args
+        if trigger.grounded:
+            args = _ground_args(args, inp, trigger.token_start)
+        out.append(EventRecord(record.type, trigger, args))
     return tuple(out)

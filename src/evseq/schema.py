@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -31,8 +31,12 @@ class SchemaError(ValueError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
+@lru_cache(maxsize=4096)
 def split_label(label: str) -> tuple[str, ...]:
     """Split a label name into word tokens at hyphens and whitespace.
+
+    Memoized: a schema has few labels, and ``linearize`` splits each
+    one again for every record.  The result is an immutable tuple.
 
     >>> split_label("Transfer-Ownership")
     ('Transfer', 'Ownership')

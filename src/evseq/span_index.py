@@ -3,7 +3,11 @@
 The decoder may only emit mention text that appears verbatim in the
 input sentence.  We index every contiguous token subsequence of the
 input (up to a length cap) in a trie; walking the trie token by token
-enumerates exactly the spans the input supports.
+enumerates exactly the spans the input supports.  A span that occurs
+only once in the input is followed by the rest of the input alone, so
+its node is shared with the input's suffix chain, as in a DAWG (Blumer
+et al. 1985): the trie is linear in the input's length unless tokens
+repeat.  Nodes may thus be reached by several paths; they are read-only.
 
 Tokens that collide with the reserved structure tokens never enter the
 trie, so a stray "(" in the input text cannot be copied into a mention.
@@ -89,21 +93,52 @@ class SpanTrie:
     the input, so there is no separate terminal marker: a span may
     always end once at least one token has been consumed.  Paths are
     capped at ``max_span_len`` tokens and never cross a reserved token.
-    Callers name a node by its span (``children``, ``is_span``) or walk
-    the nodes down from ``root``; only this module builds them.
+    A node's children come in the order their spans first occur in the
+    input.  Spans with the same continuations may share one node object
+    (see the module docstring), so nodes are read-only and ``spans``
+    walks paths, not nodes.  Callers name a node by its span
+    (``children``, ``is_span``) or walk the nodes down from ``root``;
+    only this module builds them.
     """
 
     def __init__(self, tokens: Sequence[str], max_span_len: int = DEFAULT_MAX_SPAN_LEN):
         check_max_span_len(max_span_len)
         self.max_span_len = max_span_len
         tokens = tuple(tokens)
+        n = len(tokens)
+        # reach[e]: how many tokens from e come before the next reserved
+        # token or the end; chains[e]: the chain of those tokens, which is
+        # the node of a span that occurs once, just before e, uncut by the cap
+        reach = [0] * (n + 1)
+        chains = [{}] * (n + 1)
+        for e in range(n - 1, -1, -1):
+            if tokens[e] not in RESERVED_TOKENS:
+                reach[e] = reach[e + 1] + 1
+                chains[e] = {tokens[e]: chains[e + 1]}
+        leaf = chains[n]
         self._root: dict = {}
-        for start in range(len(tokens)):
-            node = self._root
-            for token in tokens[start : start + max_span_len]:
-                if token in RESERVED_TOKENS:
-                    break
-                node = node.setdefault(token, {})
+        # (node, where the input goes on after each occurrence of its
+        # span, how many more tokens the cap lets it take); budget >= 1
+        work = [(self._root, range(n), max_span_len)]
+        while work:
+            node, ends, budget = work.pop()
+            groups: dict[str, list[int]] = {}
+            for end in ends:
+                if reach[end]:
+                    groups.setdefault(tokens[end], []).append(end)
+            for token, group in groups.items():
+                end = group[0]
+                if len(group) > 1:
+                    node[token] = child = {}
+                    if budget > 1:
+                        work.append((child, [e + 1 for e in group], budget - 1))
+                elif reach[end] <= budget:
+                    node[token] = chains[end + 1]
+                else:  # the cap cuts the chain: budget - 1 more tokens
+                    child = leaf
+                    for e in range(end + budget - 1, end, -1):
+                        child = {tokens[e]: child}
+                    node[token] = child
 
     @property
     def root(self) -> Mapping[str, Mapping]:
@@ -147,14 +182,20 @@ class SpanTrie:
         return True
 
     def spans(self) -> Iterator[tuple[str, ...]]:
-        """Enumerate every distinct span in the trie (depth-first)."""
-
-        def walk(node: dict, path: tuple[str, ...]):
-            for token, child in node.items():
-                yield path + (token,)
-                yield from walk(child, path + (token,))
-
-        yield from walk(self._root, ())
+        """Enumerate every distinct span in the trie, depth-first in child
+        order: each path from the root once, however nodes are shared."""
+        path: list[str] = []
+        stack = [iter(self._root.items())]
+        while stack:
+            for token, child in stack[-1]:
+                path.append(token)
+                yield tuple(path)
+                stack.append(iter(child.items()))
+                break
+            else:
+                stack.pop()
+                if stack:
+                    path.pop()
 
 
 def build_span_trie(
@@ -170,10 +211,16 @@ def find_occurrences(
     """Start indices of every occurrence of ``needle`` in ``haystack``."""
     if not needle or len(needle) > len(haystack):
         return []
-    needle = tuple(needle)
-    width = len(needle)
-    return [
-        i
-        for i in range(len(haystack) - width + 1)
-        if tuple(haystack[i : i + width]) == needle
-    ]
+    haystack, needle = tuple(haystack), tuple(needle)
+    first, width = needle[0], len(needle)
+    last = len(haystack) - width + 1  # one past the last possible start
+    out = []
+    # compare slices only where the needle's first token occurs
+    try:
+        start = haystack.index(first, 0, last)
+        while True:
+            if haystack[start : start + width] == needle:
+                out.append(start)
+            start = haystack.index(first, start + 1, last)
+    except ValueError:
+        return out

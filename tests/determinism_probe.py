@@ -11,6 +11,12 @@ truncate, since "( (" sorts before "( )" and keeps opening events, and
 widths 4 and 6 return "( )".  These decodes pin the truncation message
 and the uniform log-probabilities; they cannot show the order in which
 beam meets tied tokens, since any order of its cut gives these results.
+``ClosingScorer`` can: it ties every label and every word, and only the
+``)`` after a word tells the words apart, by a rank that is not their
+sorted order.  So which tied words a beam keeps decides which finished
+output wins, and a cut that depended on the order beam meets tied
+tokens in (the input's order for words, a set's for labels) would
+change the digest.
 The probe needs only the standard library and evseq, so any supported
 interpreter, under any ``PYTHONHASHSEED``, can run it:
 
@@ -24,6 +30,7 @@ import math
 
 from evseq import (
     CLOSE,
+    EOS,
     OPEN,
     DecodeConfig,
     DecodeError,
@@ -52,6 +59,25 @@ TIED_INPUT = ("the", "house", "Money", "paid", "to", "him", "attack", "died")
 TIED_CONFIGS = tuple(
     DecodeConfig(mode="beam", beam_width=width, max_length=48) for width in (1, 2, 4, 6)
 )
+
+
+# the ")" after one of these words scores higher the later it comes here
+CLOSING_RANK = ("died", "Money", "him", "the", "attack", "house", "paid", "to")
+
+
+class ClosingScorer:
+    """Fixed values for "(", EOS and ")" after "(" or ")"; 0.5 for every
+    other token, so all labels and words tie; and for ")" after a word,
+    a value set by that word's place in ``CLOSING_RANK``."""
+
+    def __init__(self, vocab):
+        self.tied = dict.fromkeys(sorted(vocab), 0.5)
+        self.tied.update({OPEN: 0.9, EOS: 1.0})
+        self.close = {OPEN: 0.001, CLOSE: 0.9}
+        self.close.update((word, 0.1 * (i + 1)) for i, word in enumerate(CLOSING_RANK))
+
+    def next_distribution(self, inp, prefix):
+        return {**self.tied, CLOSE: self.close.get(prefix[-1], 0.5)}
 
 
 class NaNFrom:
@@ -117,6 +143,8 @@ def digest(n_inputs: int = 30) -> str:
         hash_decodes(h, ngram, inp)
     tied = TokenizedInput.from_tokens(TIED_INPUT)
     hash_decodes(h, UniformScorer(decoding_vocab(SCHEMA, tied)), tied, TIED_CONFIGS)
+    closing = ClosingScorer(decoding_vocab(SCHEMA, tied))
+    hash_decodes(h, closing, tied, CONFIGS[:1] + TIED_CONFIGS)
     return h.hexdigest()
 
 

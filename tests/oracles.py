@@ -39,6 +39,7 @@ from evseq import (
     candidate_vocab,
     step,
 )
+from evseq.tokens import RESERVED_TOKENS
 
 
 def contiguous_subsequences(tokens: Sequence[str], max_len: int) -> set[tuple[str, ...]]:
@@ -48,6 +49,20 @@ def contiguous_subsequences(tokens: Sequence[str], max_len: int) -> set[tuple[st
         for j in range(i + 1, min(i + max_len, len(tokens)) + 1):
             out.add(tuple(tokens[i:j]))
     return out
+
+
+def reference_span_trie(tokens: Sequence[str], max_span_len: int) -> dict:
+    """The span trie as nested dicts, one per distinct span, built by the
+    eager loop ``SpanTrie`` once used: every start, every length up to
+    the cap, stopping at a reserved token."""
+    root: dict = {}
+    for start in range(len(tokens)):
+        node = root
+        for token in tokens[start : start + max_span_len]:
+            if token in RESERVED_TOKENS:
+                break
+            node = node.setdefault(token, {})
+    return root
 
 
 def max_one_to_one_matches(gold: list[tuple], pred: list[tuple]) -> int:

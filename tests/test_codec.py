@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -78,6 +79,19 @@ def test_sentinel_wrapping():
 
 def test_linearize_worked_example(fig_records, fig_schema, fig_seq):
     assert linearize(fig_records, fig_schema) == fig_seq
+
+
+def test_linearize_leaves_no_cyclic_garbage(fig_records, fig_schema, fig_seq):
+    # the tree renders through a module-level function, not a closure
+    # that refers to itself, so reference counting frees all of it
+    linearize(fig_records, fig_schema)
+    gc.collect()
+    gc.disable()
+    try:
+        assert linearize(fig_records, fig_schema) == fig_seq
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_linearize_empty_records():

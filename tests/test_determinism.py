@@ -15,7 +15,17 @@ from pathlib import Path
 
 import pytest
 
-from determinism_probe import digest
+from evseq import TokenizedInput, TruncationError, constrained_decode, decoding_vocab
+
+from determinism_probe import (
+    CONFIGS,
+    SCHEMA,
+    TIED_CONFIGS,
+    TIED_INPUT,
+    ClosingScorer,
+    digest,
+)
+from oracles import reference_beam, reference_greedy
 
 PROBE = Path(__file__).with_name("determinism_probe.py")
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -35,6 +45,25 @@ def test_decodes_and_error_messages_agree_across_hash_seeds():
     # set of strings iterates in under the process's hash seed
     digests = {run_probe(sys.executable, PYTHONHASHSEED=seed) for seed in ("0", "1")}
     assert digests == {digest()}
+
+
+def _outcome(search, scorer, inp, config):
+    try:
+        return search(scorer, inp, SCHEMA, config)
+    except TruncationError as err:
+        return str(err)
+
+
+def test_the_probe_s_tied_beams_keep_the_specified_survivors():
+    # the probe's digest shows a tie cut that changes with the hash seed;
+    # this pins the cut of every width to the expand-everything search,
+    # so one that followed the input's order of tied words fails too
+    inp = TokenizedInput.from_tokens(TIED_INPUT)
+    scorer = ClosingScorer(decoding_vocab(SCHEMA, inp))
+    for config in CONFIGS[:1] + TIED_CONFIGS:
+        reference = reference_greedy if config.mode == "greedy" else reference_beam
+        got = _outcome(constrained_decode, scorer, inp, config)
+        assert got == _outcome(reference, scorer, inp, config), config
 
 
 def other_interpreters() -> list[str]:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evseq import (
     Argument,
@@ -170,3 +172,25 @@ def test_grounded_mentions_share_the_input_tokens():
         assert repr(mention) == repr(plain)
     # the ungrounded mention it replaced tokenized its text itself
     assert records[0].trigger.tokens[0] is not grounded.trigger.tokens[0]
+
+
+MENTIONS = st.sampled_from(["a", "b", "a b", "b a", "c", "z"])
+
+
+@given(
+    st.lists(st.sampled_from("abc"), max_size=10),
+    st.lists(st.tuples(MENTIONS, st.lists(MENTIONS, max_size=3)), max_size=4),
+)
+def test_ground_records_is_triggers_then_arguments(words, specs):
+    # one pass per record gives what the two passes give, record for record
+    inp = TokenizedInput.from_tokens(words)
+    records = [record("E", trigger, *(("R", m) for m in args)) for trigger, args in specs]
+    want = tuple(
+        ground_arguments(r, inp) if r.trigger.grounded else r
+        for r in ground_triggers(records, inp)
+    )
+    got = ground_records(records, inp)
+    assert got == want
+    assert [[a.mention.tokens for a in r.args] for r in got] == [
+        [a.mention.tokens for a in r.args] for r in want
+    ]

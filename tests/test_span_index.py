@@ -13,9 +13,35 @@ from evseq import (
 )
 from evseq.span_index import token_strings
 
-from oracles import contiguous_subsequences
+from oracles import contiguous_subsequences, reference_span_trie
 
 WORDS = st.sampled_from(["a", "b", "c", "dog", "ran", "7"])
+# few words, so spans repeat, and two reserved tokens
+REPEATING = st.sampled_from(["a", "b", "c", "(", ")"])
+
+
+def ordered(node) -> list:
+    """A trie as nested (token, subtree) lists, in child order."""
+    return [(token, ordered(child)) for token, child in node.items()]
+
+
+def reference_paths(node, path=()) -> list:
+    """Every path of a nested-dict trie, depth-first in child order."""
+    out = []
+    for token, child in node.items():
+        out.append(path + (token,))
+        out.extend(reference_paths(child, path + (token,)))
+    return out
+
+
+def node_ids(node, seen=None) -> set[int]:
+    """The ids of every node object reachable from ``node``."""
+    seen = set() if seen is None else seen
+    if id(node) not in seen:
+        seen.add(id(node))
+        for child in node.values():
+            node_ids(child, seen)
+    return seen
 
 
 def test_tokenize_words_and_punctuation():
@@ -135,6 +161,47 @@ def test_span_trie_matches_brute_force_large_random():
         cap = rng.randint(1, 6)
         trie = SpanTrie(tuple(tokens), cap)
         assert set(trie.spans()) == contiguous_subsequences(tokens, cap)
+
+
+@given(st.lists(REPEATING, max_size=40), st.integers(min_value=1, max_value=20))
+def test_span_trie_paths_and_child_order_match_the_eager_loop(tokens, max_span_len):
+    # nodes may be shared, but every path, and the order of every node's
+    # children, is that of the trie with one dict per distinct span
+    trie = SpanTrie(tokens, max_span_len)
+    want = reference_span_trie(tokens, max_span_len)
+    assert ordered(trie.root) == ordered(want)
+    assert list(trie.spans()) == reference_paths(want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 16])
+def test_distinct_tokens_under_the_cap_build_one_node_per_suffix(n):
+    # the root, and the suffix chain that every span shares (its last
+    # node, the end of the input, included)
+    tokens = [f"w{i}" for i in range(n)]
+    trie = SpanTrie(tokens, max_span_len=16)
+    assert len(node_ids(trie.root)) == n + 1
+    assert len(list(trie.spans())) == n * (n + 1) // 2
+
+
+def test_a_long_repeated_token_builds_without_deep_recursion():
+    # one token repeated: the spans nest 1,200 deep, past the default
+    # recursion limit of 1,000, and neither building nor walking them
+    # recurses
+    n = 1200
+    trie = SpanTrie(["a"] * n, max_span_len=n)
+    assert trie.is_span(("a",) * n)
+    assert not trie.is_span(("a",) * (n + 1))
+    spans = list(trie.spans())
+    assert spans[0] == ("a",) and len(spans) == n and spans[-1] == ("a",) * n
+
+
+@given(st.lists(REPEATING, max_size=12), st.lists(REPEATING, max_size=3))
+def test_find_occurrences_matches_brute_force(haystack, needle):
+    want = [
+        i for i in range(len(haystack) - len(needle) + 1)
+        if needle and haystack[i : i + len(needle)] == needle
+    ]
+    assert find_occurrences(haystack, needle) == want
 
 
 def test_find_occurrences():
