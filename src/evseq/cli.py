@@ -27,7 +27,7 @@ from .curriculum import (
     dataset_stats,
     generate_synthetic,
 )
-from .dataio import DataError, Example, example_to_obj, read_dataset, scored_pairs, write_dataset
+from .dataio import DataError, Example, dataset_line, read_dataset, scored_pairs
 from .decoder import DecodeConfig, DecodeError, TruncationError, decode_batch
 from .evaluation import evaluate
 from .grounding import ground_records
@@ -87,7 +87,7 @@ def cmd_parse(args) -> int:
             position = "" if err.position is None else f", token {err.position + offset}"
             raise CodecError(f"line {lineno}{position}: {err}") from None
         example = Example(f"line-{lineno}", TokenizedInput.from_tokens(()), records)
-        out.append(json.dumps(example_to_obj(example), ensure_ascii=False))
+        out.append(dataset_line(example))
     _emit(args.out, out)
     return EXIT_OK
 
@@ -124,7 +124,7 @@ def cmd_decode(args) -> int:
             "emitted empty record lists for them",
             file=sys.stderr,
         )
-    _emit(args.out, [json.dumps(example_to_obj(p), ensure_ascii=False) for p in predictions])
+    _emit(args.out, [dataset_line(p) for p in predictions])
     if failed:
         more = f" (+{len(failed) - 3} more)" if len(failed) > 3 else ""
         summary = f"{len(failed)} of {len(examples)} item(s) failed, written with no events"
@@ -184,10 +184,7 @@ def cmd_synth(args) -> int:
         max_events=args.max_events,
         max_args=args.max_args,
     )
-    if args.out in (None, "-"):
-        _emit(None, [json.dumps(example_to_obj(ex), ensure_ascii=False) for ex in examples])
-    else:
-        write_dataset(examples, args.out)
+    _emit(args.out, [dataset_line(ex) for ex in examples])
     stats = dataset_stats(examples)
     print(
         "generated {sentences} sentences, {events} events, {arguments} arguments".format(

@@ -128,8 +128,9 @@ def _mention_to_obj(mention: Mention) -> dict:
     return {"text": mention.text, "start": mention.token_start}
 
 
-def example_to_obj(example: Example) -> dict:
-    return {
+def dataset_line(example: Example) -> str:
+    """The line that writes ``example`` to a dataset file, without its newline."""
+    return _ENCODER.encode({
         "id": example.id,
         "text": example.inp.text,
         "events": [
@@ -143,13 +144,13 @@ def example_to_obj(example: Example) -> dict:
             }
             for record in example.records
         ],
-    }
+    })
 
 
 def write_dataset(examples: Iterable[Example], path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for example in examples:
-            handle.write(_ENCODER.encode(example_to_obj(example)))
+            handle.write(dataset_line(example))
             handle.write("\n")
 
 

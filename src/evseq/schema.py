@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 _NAME_RE = re.compile(r"[A-Za-z0-9-]+\Z")
 
@@ -178,7 +178,7 @@ class LabelTrie:
 
     A node may be both a leaf and an inner node when one label is a
     strict token-prefix of another; the shorter label keeps its explicit
-    leaf marker and both continuations remain reachable.
+    leaf marker and both continuations remain reachable from ``root``.
     """
 
     root: TrieNode = field(default_factory=TrieNode)
@@ -203,32 +203,6 @@ class LabelTrie:
     @property
     def is_empty(self) -> bool:
         return not self.root.children
-
-    def node(self, prefix: Sequence[str]) -> TrieNode:
-        """Return the node reached by ``prefix``; KeyError if no such path."""
-        node = self.root
-        for i, token in enumerate(prefix):
-            try:
-                node = node.children[token]
-            except KeyError:
-                raise KeyError(
-                    f"prefix {list(prefix[: i + 1])!r} is not a path in the trie"
-                ) from None
-        return node
-
-    def children(self, prefix: Sequence[str]) -> Mapping[str, TrieNode]:
-        return self.node(prefix).children
-
-    def paths(self) -> Iterator[tuple[tuple[str, ...], str]]:
-        """Yield every (token path, label) pair for nodes marking a label."""
-
-        def walk(node: TrieNode, path: tuple[str, ...]):
-            if node.label is not None:
-                yield path, node.label
-            for token in node.children:
-                yield from walk(node.children[token], path + (token,))
-
-        yield from walk(self.root, ())
 
 
 @dataclass(frozen=True)

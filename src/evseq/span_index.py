@@ -2,9 +2,9 @@
 
 The decoder may only emit mention text that appears verbatim in the
 input sentence.  We index every contiguous token subsequence of the
-input (up to a length cap) in a trie; walking the trie token by token
-enumerates exactly the spans the input supports.  A span that occurs
-only once in the input is followed by the rest of the input alone, so
+input (up to a length cap) in a trie; walking it down from its root
+token by token enumerates exactly the spans the input supports.  A
+span that occurs once is followed by the rest of the input alone, so
 its node is shared with the input's suffix chain, as in a DAWG (Blumer
 et al. 1985): the trie is linear in the input's length unless tokens
 repeat.  Nodes may thus be reached by several paths; they are read-only.
@@ -52,13 +52,19 @@ class TokenizedInput:
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "TokenizedInput":
-        """Build from a pre-tokenized sentence, joining with single spaces."""
+        """Build from a pre-tokenized sentence, joining with single spaces;
+        ValueError for a token that ``tokenize`` would not give back."""
+        tokens = tuple(tokens)
+        text = " ".join(tokens)
+        if token_strings(text) != tokens:
+            i = next(i for i, t in enumerate(tokens) if token_strings(t) != (t,))
+            raise ValueError(f"token {i} {tokens[i]!r} tokenizes to {token_strings(tokens[i])!r}")
         spans = []
         offset = 0
         for token in tokens:
             spans.append((offset, offset + len(token)))
             offset += len(token) + 1
-        return cls(" ".join(tokens), tuple(tokens), tuple(spans))
+        return cls(text, tokens, tuple(spans))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -96,14 +102,12 @@ class SpanTrie:
     A node's children come in the order their spans first occur in the
     input.  Spans with the same continuations may share one node object
     (see the module docstring), so nodes are read-only and ``spans``
-    walks paths, not nodes.  Callers name a node by its span
-    (``children``, ``is_span``) or walk the nodes down from ``root``;
+    walks paths, not nodes.  Callers walk the nodes down from ``root``;
     only this module builds them.
     """
 
     def __init__(self, tokens: Sequence[str], max_span_len: int = DEFAULT_MAX_SPAN_LEN):
         check_max_span_len(max_span_len)
-        self.max_span_len = max_span_len
         tokens = tuple(tokens)
         n = len(tokens)
         # reach[e]: how many tokens from e come before the next reserved
@@ -144,42 +148,13 @@ class SpanTrie:
     def root(self) -> Mapping[str, Mapping]:
         """The root node, read-only.  A node maps each token that extends
         its span to the child node, so ``root[t1][t2]`` is the node of the
-        span ``(t1, t2)`` and iterating a node gives its ``children``."""
+        span ``(t1, t2)``; iterating a node gives the tokens after it."""
         return self._root
 
     @property
     def is_empty(self) -> bool:
         """True when the input supports no spans at all."""
         return not self._root
-
-    def _node(self, prefix: Sequence[str]) -> dict:
-        """The node reached by ``prefix``; KeyError if no such path."""
-        node = self._root
-        for i, token in enumerate(prefix):
-            try:
-                node = node[token]
-            except KeyError:
-                raise KeyError(
-                    f"{list(prefix[: i + 1])!r} is not a span prefix of the input"
-                ) from None
-        return node
-
-    def children(self, prefix: Sequence[str]) -> frozenset[str]:
-        """Tokens that can extend ``prefix`` while staying a valid span.
-
-        Raises KeyError when ``prefix`` itself is not a path in the trie.
-        """
-        return frozenset(self._node(prefix))
-
-    def is_span(self, tokens: Sequence[str]) -> bool:
-        """True when ``tokens`` is a non-empty in-vocabulary span."""
-        if not tokens or len(tokens) > self.max_span_len:
-            return False
-        try:
-            self._node(tokens)
-        except KeyError:
-            return False
-        return True
 
     def spans(self) -> Iterator[tuple[str, ...]]:
         """Enumerate every distinct span in the trie, depth-first in child

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own algorithms: spans
 are enumerated by brute force, one-to-one matching is exhaustive search,
-and the grammar language of tiny instances is expanded from the format
+the tries are queried only by walking down from their roots, and the
+grammar language of tiny instances is expanded from the format
 definition directly.  Where a library result is checked against one of
 these, both sides were written separately on purpose.
 """
@@ -29,6 +30,7 @@ from evseq import (
     DecodeState,
     EventRecord,
     EventSchema,
+    LabelTrie,
     Mention,
     Phase,
     SchemaTries,
@@ -63,6 +65,54 @@ def reference_span_trie(tokens: Sequence[str], max_span_len: int) -> dict:
                 break
             node = node.setdefault(token, {})
     return root
+
+
+def _span_node(trie: SpanTrie, prefix: Sequence[str]) -> dict:
+    node = trie.root
+    for i, token in enumerate(prefix):
+        if token not in node:
+            raise KeyError(f"{list(prefix[: i + 1])!r} is not a span prefix of the input")
+        node = node[token]
+    return node
+
+
+def span_children(trie: SpanTrie, prefix: Sequence[str]) -> frozenset[str]:
+    """Tokens that can extend ``prefix`` while staying a span, read by
+    walking down from ``trie.root``; KeyError when ``prefix`` is not a path."""
+    return frozenset(_span_node(trie, prefix))
+
+
+def is_span(trie: SpanTrie, tokens: Sequence[str]) -> bool:
+    """True when ``tokens`` is a non-empty path down from ``trie.root``."""
+    try:
+        _span_node(trie, tokens)
+    except KeyError:
+        return False
+    return bool(tokens)
+
+
+def label_node(trie: LabelTrie, prefix: Sequence[str]):
+    """The node of ``trie`` reached by ``prefix``; KeyError if no such path."""
+    node = trie.root
+    for i, token in enumerate(prefix):
+        if token not in node.children:
+            raise KeyError(f"prefix {list(prefix[: i + 1])!r} is not a path in the trie")
+        node = node.children[token]
+    return node
+
+
+def label_paths(trie: LabelTrie) -> list[tuple[tuple[str, ...], str]]:
+    """Every (token path, label) pair of the nodes that complete a label,
+    depth-first in child order, each node before its children."""
+    out = []
+    stack = [((), trie.root)]
+    while stack:
+        path, node = stack.pop()
+        if node.label is not None:
+            out.append((path, node.label))
+        for token, child in reversed(node.children.items()):
+            stack.append((path + (token,), child))
+    return out
 
 
 def max_one_to_one_matches(gold: list[tuple], pred: list[tuple]) -> int:
@@ -379,13 +429,13 @@ def reference_candidate_vocab(
             cands.add(OPEN)
         return frozenset(cands)
     if phase is Phase.IN_TYPE_LABEL:
-        node = tries.type_trie.node(state.partial_label)
+        node = label_node(tries.type_trie, state.partial_label)
         cands = set(node.children)
         if node.is_leaf:
-            cands |= span_trie.children(())
+            cands |= span_children(span_trie, ())
         return frozenset(cands)
     if phase is Phase.IN_TRIGGER_SPAN:
-        cands = set(span_trie.children(state.partial_span))
+        cands = set(span_children(span_trie, state.partial_span))
         if state.partial_span:
             cands.add(CLOSE)
             if not tries.role_tries[state.current_type].is_empty:
@@ -394,13 +444,13 @@ def reference_candidate_vocab(
     if phase is Phase.AWAIT_ARG:
         return frozenset({OPEN, CLOSE})
     if phase is Phase.IN_ROLE_LABEL:
-        node = tries.role_tries[state.current_type].node(state.partial_label)
+        node = label_node(tries.role_tries[state.current_type], state.partial_label)
         cands = set(node.children)
         if node.is_leaf:
-            cands |= span_trie.children(())
+            cands |= span_children(span_trie, ())
         return frozenset(cands)
     if phase is Phase.IN_ARG_SPAN:
-        cands = set(span_trie.children(state.partial_span))
+        cands = set(span_children(span_trie, state.partial_span))
         if state.partial_span:
             cands.add(CLOSE)
         return frozenset(cands)
@@ -449,7 +499,7 @@ def reference_step(
 
 
 def _reference_label_step(state, token, tokens, trie, span_phase) -> DecodeState:
-    node = trie.node(state.partial_label)
+    node = label_node(trie, state.partial_label)
     child = node.children.get(token)
     in_type = state.phase is Phase.IN_TYPE_LABEL
     if child is not None:

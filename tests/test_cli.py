@@ -8,6 +8,7 @@ from evseq import (
     DecodeError,
     Example,
     decode_batch,
+    generate_synthetic,
     load_schema,
     load_scorer,
     read_dataset,
@@ -128,6 +129,20 @@ def test_synth_is_deterministic(capsys, tmp_path, schema_file):
     run(capsys, "synth", schema_file, "--seed", "9", "--n", "30", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
     assert len(read_dataset(a)) == 30
+
+
+def test_synth_stdout_is_the_dataset_file_of_its_examples(capsys, tmp_path, schema_file):
+    words = [f"café{i}" for i in range(15)]  # not ASCII, written as is
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(" ".join(words), encoding="utf-8")
+    code, out, _ = run(capsys, "synth", schema_file, "--vocab-file", str(vocab),
+                       "--seed", "4", "--n", "12")
+    assert code == 0
+    examples = generate_synthetic(load_schema(schema_file), words, seed=4, n_sentences=12)
+    path = tmp_path / "synth.jsonl"
+    write_dataset(examples, path)
+    assert "café" in out
+    assert out.encode("utf-8") == path.read_bytes()
 
 
 def test_synth_rejects_tiny_vocab(capsys, tmp_path, schema_file):

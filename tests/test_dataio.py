@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evseq import (
     Argument,
@@ -12,8 +14,8 @@ from evseq import (
     read_dataset,
     write_dataset,
 )
-from evseq.dataio import example_to_obj, scored_pairs
-from evseq.span_index import tokenize
+from evseq.dataio import dataset_line, scored_pairs
+from evseq.span_index import TokenizedInput, token_strings, tokenize
 
 FIG_LINE = {
     "id": "s1",
@@ -62,6 +64,35 @@ def test_roundtrip_write_read(tmp_path, fig_schema):
     assert read_dataset(path) == examples
 
 
+def test_from_tokens_refuses_a_token_its_text_does_not_read_back_as():
+    # "U.S." reads back as "U . S .", which would put "left" at index 5,
+    # not at the index 2 a record over these tokens names
+    with pytest.raises(ValueError, match=r"^token 0 'U\.S\.' tokenizes to \('U', '\.'"):
+        TokenizedInput.from_tokens(["U.S.", "troops", "left"])
+    for tokens in ([""], ["a", "b c"], ["ok", "<eos>"], ["x-y"]):
+        with pytest.raises(ValueError, match=rf"^token {len(tokens) - 1} "):
+            TokenizedInput.from_tokens(tokens)
+
+
+# whole tokens and random strings that may split, join or vanish
+TOKENS = st.one_of(st.sampled_from(["a", "bb", ".", "("]), st.text(alphabet="ab.( ", max_size=3))
+
+
+@given(st.lists(TOKENS, min_size=1, max_size=5))
+def test_from_tokens_inputs_read_back_from_a_dataset(tmp_path_factory, tokens):
+    try:
+        inp = TokenizedInput.from_tokens(tokens)
+    except ValueError:
+        assert any(token_strings(t) != (t,) for t in tokens)
+        return
+    last = len(tokens) - 1
+    record = EventRecord("EvA", Mention(tokens[last], last, inp.char_spans[last][0]))
+    example = Example("t", inp, (record,))
+    path = tmp_path_factory.mktemp("from_tokens") / "data.jsonl"
+    write_dataset([example], path)
+    assert read_dataset(path) == [example]
+
+
 def test_write_is_byte_deterministic(tmp_path, fig_schema):
     examples = generate_synthetic(fig_schema, seed=22, n_sentences=10)
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -77,7 +108,7 @@ def test_ungrounded_mentions_serialize_as_null(tmp_path):
         inp,
         (EventRecord("EvA", Mention("missing"), (Argument("R", Mention("gone")),)),),
     )
-    obj = example_to_obj(example)
+    obj = json.loads(dataset_line(example))
     assert obj["events"][0]["trigger"]["start"] is None
     path = tmp_path / "pred.jsonl"
     write_dataset([example], path)

@@ -42,6 +42,7 @@ import evseq.decoder
 from oracles import (
     Undeclared,
     enumerate_language,
+    is_span,
     random_schema,
     reference_beam,
     reference_greedy,
@@ -466,9 +467,9 @@ def test_decoded_mentions_are_input_spans(fig_schema, fig_input, fig_seq):
     records = delinearize(result.tokens, fig_schema)
     trie = build_span_trie(fig_input)
     for record in records:
-        assert trie.is_span(record.trigger.tokens)
+        assert is_span(trie, record.trigger.tokens)
         for arg in record.args:
-            assert trie.is_span(arg.mention.tokens)
+            assert is_span(trie, arg.mention.tokens)
 
 
 class DeadStartScorer:

@@ -13,7 +13,7 @@ from evseq import (
     split_label,
 )
 
-from oracles import random_schema
+from oracles import label_node, label_paths, random_schema
 
 
 def test_split_label_hyphen():
@@ -93,7 +93,7 @@ def test_event_schema_rejects_bad_constructions():
 def test_label_trie_paths_round_trip():
     labels = ["Transfer-Ownership", "Transfer-Money", "Attack"]
     trie = LabelTrie.build(labels)
-    assert dict(trie.paths()) == {
+    assert dict(label_paths(trie)) == {
         ("Transfer", "Ownership"): "Transfer-Ownership",
         ("Transfer", "Money"): "Transfer-Money",
         ("Attack",): "Attack",
@@ -105,23 +105,24 @@ def test_label_trie_children_and_leaf_flags():
 
     def children(prefix):
         return frozenset(
-            (token, child.is_leaf) for token, child in trie.children(prefix).items()
+            (token, child.is_leaf)
+            for token, child in label_node(trie, prefix).children.items()
         )
 
     assert children(()) == frozenset([("Transfer", False), ("Attack", True)])
     assert children(("Transfer",)) == frozenset([("Ownership", True), ("Money", True)])
     with pytest.raises(KeyError):
-        trie.children(("Bogus",))
+        label_node(trie, ("Bogus",))
 
 
 def test_label_trie_prefix_label_keeps_both():
     # "End" is a strict token-prefix of "End-Position": the node is both
     # a leaf and an inner node.
     trie = LabelTrie.build(["End", "End-Position"])
-    node = trie.node(("End",))
+    node = label_node(trie, ("End",))
     assert node.label == "End"
     assert set(node.children) == {"Position"}
-    assert dict(trie.paths()) == {
+    assert dict(label_paths(trie)) == {
         ("End",): "End",
         ("End", "Position"): "End-Position",
     }
@@ -140,13 +141,13 @@ def test_label_trie_empty():
 
 def test_build_tries_from_schema(fig_schema):
     tries = SchemaTries.from_schema(fig_schema)
-    assert sorted(label for _, label in tries.type_trie.paths()) == [
+    assert sorted(label for _, label in label_paths(tries.type_trie)) == [
         "Arrest-Jail",
         "Transport",
     ]
     role_tries = tries.role_tries
     assert set(role_tries) == {"Transport", "Arrest-Jail"}
-    assert dict(role_tries["Arrest-Jail"].paths()) == {
+    assert dict(label_paths(role_tries["Arrest-Jail"])) == {
         ("Person",): "Person",
         ("Agent",): "Agent",
         ("Time",): "Time",
@@ -160,9 +161,9 @@ def test_schema_tries_are_built_once_per_schema(fig_schema):
     tries = schema.tries
     assert schema.tries is tries
     fresh = SchemaTries.from_schema(schema)
-    assert dict(tries.type_trie.paths()) == dict(fresh.type_trie.paths())
-    assert {t: dict(trie.paths()) for t, trie in tries.role_tries.items()} == {
-        t: dict(trie.paths()) for t, trie in fresh.role_tries.items()
+    assert dict(label_paths(tries.type_trie)) == dict(label_paths(fresh.type_trie))
+    assert {t: dict(label_paths(trie)) for t, trie in tries.role_tries.items()} == {
+        t: dict(label_paths(trie)) for t, trie in fresh.role_tries.items()
     }
     # the cache is per object and leaves equality alone
     other = EventSchema(dict(fig_schema.event_types))
@@ -174,15 +175,38 @@ def test_random_schema_tries_enumerate_all_labels(seed):
     rng = random.Random(seed)
     schema = random_schema(rng, max_types=8, max_roles=4)
     tries = SchemaTries.from_schema(schema)
-    assert sorted(label for _, label in tries.type_trie.paths()) == sorted(schema.types)
+    assert sorted(label for _, label in label_paths(tries.type_trie)) == sorted(schema.types)
     for event_type in schema.types:
         role_trie = tries.role_tries[event_type]
-        assert sorted(label for _, label in role_trie.paths()) == sorted(
+        assert sorted(label for _, label in label_paths(role_trie)) == sorted(
             schema.roles(event_type)
         )
-        for path, label in role_trie.paths():
+        for path, label in label_paths(role_trie):
             assert path == split_label(label)
     names = list(schema.types) + [r for t in schema.types for r in schema.roles(t)]
     label_tokens = schema.label_tokens
     assert label_tokens == {tok for name in names for tok in split_label(name)}
     assert schema.label_tokens is label_tokens
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_label_paths_and_nodes_match_the_schema_labels(seed):
+    schema = random_schema(random.Random(seed), max_types=8, max_roles=4)
+    tries = SchemaTries.from_schema(schema)
+    tries_and_labels = [(tries.type_trie, schema.types)] + [
+        (tries.role_tries[t], schema.roles(t)) for t in schema.types
+    ]
+    for trie, labels in tries_and_labels:
+        want = {split_label(label): label for label in labels}
+        paths = label_paths(trie)
+        assert len(paths) == len(labels) and dict(paths) == want
+        prefixes = {path[:i] for path in want for i in range(len(path) + 1)}
+        for prefix in prefixes:
+            node = label_node(trie, prefix)
+            assert node.label == want.get(prefix)
+            assert set(node.children) == {
+                path[len(prefix)] for path in prefixes
+                if len(path) == len(prefix) + 1 and path[:-1] == prefix
+            }
+        with pytest.raises(KeyError):
+            label_node(trie, ("no such token",))

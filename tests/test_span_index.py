@@ -12,8 +12,9 @@ from evseq import (
     tokenize,
 )
 from evseq.span_index import token_strings
+from evseq.tokens import RESERVED_TOKENS
 
-from oracles import contiguous_subsequences, reference_span_trie
+from oracles import contiguous_subsequences, is_span, reference_span_trie, span_children
 
 WORDS = st.sampled_from(["a", "b", "c", "dog", "ran", "7"])
 # few words, so spans repeat, and two reserved tokens
@@ -91,27 +92,27 @@ def test_tokenize_is_idempotent_on_its_own_output(tokens):
 def test_span_trie_repeated_token():
     trie = SpanTrie(("a", "b", "a"), max_span_len=2)
     assert set(trie.spans()) == {("a",), ("b",), ("a", "b"), ("b", "a")}
-    assert trie.is_span(("a", "b"))
-    assert not trie.is_span(("a", "a"))
-    assert not trie.is_span(())
+    assert is_span(trie, ("a", "b"))
+    assert not is_span(trie, ("a", "a"))
+    assert not is_span(trie, ())
     # Length cap: ("a", "b", "a") occurs contiguously but exceeds it.
-    assert not trie.is_span(("a", "b", "a"))
+    assert not is_span(trie, ("a", "b", "a"))
 
 
 def test_span_trie_children_and_continuations():
     trie = SpanTrie(("a", "b", "a"), max_span_len=2)
-    assert trie.children(()) == frozenset({"a", "b"})
-    assert trie.children(("a",)) == frozenset({"b"})
-    assert trie.children(("a", "b")) == frozenset()
+    assert span_children(trie, ()) == frozenset({"a", "b"})
+    assert span_children(trie, ("a",)) == frozenset({"b"})
+    assert span_children(trie, ("a", "b")) == frozenset()
     with pytest.raises(KeyError):
-        trie.children(("z",))
+        span_children(trie, ("z",))
 
 
 def test_span_trie_excludes_reserved_tokens():
     trie = SpanTrie(("x", "(", "y"))
     assert set(trie.spans()) == {("x",), ("y",)}
     # The reserved token also breaks contiguity: no span crosses it.
-    assert not trie.is_span(("x", "y"))
+    assert not is_span(trie, ("x", "y"))
 
 
 def test_span_trie_empty_input():
@@ -129,9 +130,9 @@ def test_span_trie_rejects_bad_cap():
 
 def test_build_span_trie_uses_input_tokens(fig_input):
     trie = build_span_trie(fig_input)
-    assert trie.is_span(("Los", "Angeles"))
-    assert trie.is_span(("bounty", "hunters"))
-    assert not trie.is_span(("Angeles", "Los"))
+    assert is_span(trie, ("Los", "Angeles"))
+    assert is_span(trie, ("bounty", "hunters"))
+    assert not is_span(trie, ("Angeles", "Los"))
 
 
 @given(st.lists(WORDS, max_size=10), st.integers(min_value=1, max_value=4))
@@ -140,18 +141,31 @@ def test_span_trie_matches_brute_force(tokens, max_span_len):
     expected = contiguous_subsequences(tokens, max_span_len)
     assert set(trie.spans()) == expected
     for span in expected:
-        assert trie.is_span(span)
+        assert is_span(trie, span)
 
 
-@given(st.lists(WORDS, max_size=10), st.integers(min_value=1, max_value=4))
-def test_span_trie_root_walk_agrees_with_children(tokens, max_span_len):
-    trie = SpanTrie(tuple(tokens), max_span_len)
+@given(st.lists(REPEATING, max_size=40), st.integers(min_value=1, max_value=20))
+def test_span_children_and_is_span_match_brute_force(tokens, max_span_len):
+    trie = SpanTrie(tokens, max_span_len)
     assert trie.is_empty == (not trie.root)
-    for span in [(), *trie.spans()]:
-        node = trie.root
-        for token in span:
-            node = node[token]
-        assert frozenset(node) == trie.children(span)
+    spans = {
+        span
+        for span in contiguous_subsequences(tokens, max_span_len)
+        if not RESERVED_TOKENS.intersection(span)
+    }
+    # every prefix of a span is a span, so each one is a key here
+    followers = {span: set() for span in spans | {()}}
+    for span in spans:
+        followers[span[:-1]].add(span[-1])
+    assert not is_span(trie, ())
+    for prefix, after in followers.items():
+        assert span_children(trie, prefix) == after
+        for token in ("a", "b", "c", "(", ")"):
+            longer = prefix + (token,)
+            assert is_span(trie, longer) == (longer in spans)
+            if longer not in spans:
+                with pytest.raises(KeyError):
+                    span_children(trie, longer)
 
 
 def test_span_trie_matches_brute_force_large_random():
@@ -189,8 +203,8 @@ def test_a_long_repeated_token_builds_without_deep_recursion():
     # recurses
     n = 1200
     trie = SpanTrie(["a"] * n, max_span_len=n)
-    assert trie.is_span(("a",) * n)
-    assert not trie.is_span(("a",) * (n + 1))
+    assert is_span(trie, ("a",) * n)
+    assert not is_span(trie, ("a",) * (n + 1))
     spans = list(trie.spans())
     assert spans[0] == ("a",) and len(spans) == n and spans[-1] == ("a",) * n
 
