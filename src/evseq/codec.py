@@ -12,9 +12,11 @@ Multi-token labels contribute one token per word part, as the schema's
 the two tokens "Arrest Jail".  An empty record list linearizes to
 "( )".  Sibling order is span appearance order: events sort by trigger
 offset, arguments within an event by argument offset, which is why
-linearization requires grounded mentions.  ``linearize`` arranges the
-records as a labeled tree (``to_tree``) and renders it depth-first
-(``tree_to_seq``); there is no other renderer.
+linearization requires grounded mentions.  ``linearize`` and ``to_tree``
+share one ordering: ``linearize`` renders the ordered records straight
+into tokens, ``to_tree`` arranges them as a labeled tree, and
+``tree_to_seq(to_tree(records))`` gives the same tokens as
+``linearize(records)``.
 
 ``delinearize`` inverts ``linearize`` on well-formed sequences, up to
 the offsets (a surface parse cannot know them).  When a label is a
@@ -32,6 +34,7 @@ decoder emits parses back to the labels it spelled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .schema import EventSchema, LabelTrie, split_label
@@ -120,37 +123,52 @@ def strip_sentinels(tokens: Sequence[str]) -> tuple[str, ...]:
     return tuple(tokens[1:-1])
 
 
-def _require_offset(mention: Mention, what: str) -> int:
-    if mention.token_start is None:
-        raise CodecError(f"{what} {mention.text!r} is missing its token offset")
-    return mention.token_start
+def _missing_offset(mention: Mention, what: str) -> CodecError:
+    return CodecError(f"{what} {mention.text!r} is missing its token offset")
 
 
-def _mention_sort_key(mention: Mention, name: str) -> tuple:
-    # appearance order; ties by span end, then by label name
-    return (_require_offset(mention, "mention"), mention.token_end, name)
+def _arg_key(arg: Argument) -> tuple:
+    # appearance order; ties by span end, then by role name
+    mention = arg.mention
+    start = mention.token_start
+    if start is None:
+        raise _missing_offset(mention, "mention")
+    return (start, start + len(mention.tokens), arg.role)
 
 
-def _ordered_records(records: Iterable[EventRecord]) -> list[EventRecord]:
+def _ordered(
+    records: Iterable[EventRecord],
+) -> list[tuple[tuple, list[Argument], EventRecord]]:
+    """(sort key, arguments in span order, record) per record, in trigger order.
+
+    Offsets are checked in the records' own order: each trigger, then
+    its arguments.  Both sorts are stable, so full ties keep input order.
+    """
     ordered = []
     for record in records:
-        _require_offset(record.trigger, f"trigger of {record.type}")
-        args = sorted(record.args, key=lambda a: _mention_sort_key(a.mention, a.role))
-        ordered.append(EventRecord(record.type, record.trigger, tuple(args)))
-    ordered.sort(key=lambda r: _mention_sort_key(r.trigger, r.type))
+        trigger = record.trigger
+        start = trigger.token_start
+        if start is None:
+            raise _missing_offset(trigger, f"trigger of {record.type}")
+        key = (start, start + len(trigger.tokens), record.type)
+        ordered.append((key, sorted(record.args, key=_arg_key), record))
+    ordered.sort(key=itemgetter(0))
     return ordered
 
 
-def _check_against_schema(record: EventRecord, schema: EventSchema | None) -> None:
+def _check_against_schema(
+    event_type: str, args: Sequence[Argument], schema: EventSchema | None
+) -> None:
+    # args in span order, so a bad role is named in the order it is rendered
     if schema is None:
         return
-    if record.type not in schema:
-        raise CodecError(f"unknown event type {record.type!r}")
-    allowed = schema.roles(record.type)
-    for arg in record.args:
+    if event_type not in schema:
+        raise CodecError(f"unknown event type {event_type!r}")
+    allowed = schema.roles(event_type)
+    for arg in args:
         if arg.role not in allowed:
             raise CodecError(
-                f"role {arg.role!r} not permitted for event type {record.type!r}"
+                f"role {arg.role!r} not permitted for event type {event_type!r}"
             )
 
 
@@ -161,10 +179,25 @@ def linearize(
 
     Every mention must carry a token offset: siblings are emitted in
     span appearance order (ties broken by span end, then label name).
-    Types and roles are validated when a schema is supplied.  This is
-    ``tree_to_seq(to_tree(records, schema))``.
+    Types and roles are validated when a schema is supplied.  The
+    records are ordered as ``to_tree`` orders them and rendered without
+    building the tree, so this equals ``tree_to_seq(to_tree(records,
+    schema))``.
     """
-    return tree_to_seq(to_tree(records, schema))
+    out = [OPEN]
+    for _, args, record in _ordered(records):
+        _check_against_schema(record.type, args, schema)
+        out.append(OPEN)
+        out.extend(split_label(record.type))
+        out.extend(mention_tokens(record.trigger))
+        for arg in args:
+            out.append(OPEN)
+            out.extend(split_label(arg.role))
+            out.extend(mention_tokens(arg.mention))
+            out.append(CLOSE)
+        out.append(CLOSE)
+    out.append(CLOSE)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -183,15 +216,14 @@ class TreeNode:
 def to_tree(
     records: Iterable[EventRecord], schema: EventSchema | None = None
 ) -> TreeNode:
-    """Arrange records as a labeled tree under a virtual root."""
+    """Arrange records as a labeled tree under a virtual root, in
+    ``linearize``'s order."""
     events = []
-    for record in _ordered_records(records):
-        _check_against_schema(record, schema)
+    for _, args, record in _ordered(records):
+        _check_against_schema(record.type, args, schema)
         trigger = mention_tokens(record.trigger)
-        args = tuple(
-            TreeNode(arg.role, mention_tokens(arg.mention)) for arg in record.args
-        )
-        events.append(TreeNode(record.type, trigger, args))
+        children = tuple(TreeNode(arg.role, mention_tokens(arg.mention)) for arg in args)
+        events.append(TreeNode(record.type, trigger, children))
     return TreeNode(None, (), tuple(events))
 
 

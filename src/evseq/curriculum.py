@@ -26,8 +26,9 @@ from .codec import (
     EventRecord,
     Mention,
     TreeNode,
+    _ordered,
     linearize,
-    to_tree,
+    mention_tokens,
     tree_to_seq,
 )
 from .dataio import Example
@@ -57,10 +58,10 @@ def substructure_units(
     appearance order within their record, matching the linearized form.
     """
     units = []
-    for event in to_tree(records).children:
-        units.append((event.label, event.span))
-        for arg in event.children:
-            units.append((arg.label, arg.span))
+    for _, args, record in _ordered(records):
+        units.append((record.type, mention_tokens(record.trigger)))
+        for arg in args:
+            units.append((arg.role, mention_tokens(arg.mention)))
     return units
 
 

@@ -9,7 +9,8 @@ Each line is a JSON object:
 
 ``id`` is a string or an integer, read as its decimal string.  ``start``
 is a token index into the tokenization of ``text``; null marks
-an ungrounded mention (predictions may contain those, gold should not).
+an ungrounded mention (predictions may contain those, gold should not);
+its text must still hold at least one token.
 Offsets are validated on read: the tokens at ``start`` must equal the
 mention's own tokens, and that slice of the input's tokens is passed to
 the mention as its ``tokens``, so it shares the input's strings.  Files
@@ -62,7 +63,10 @@ def _mention_from_obj(
     if not isinstance(text, str) or not text:
         raise DataError(f"{what} text must be a non-empty string", location)
     if start is None:
-        return Mention(text)
+        mention = Mention(text)
+        if not mention.tokens:
+            raise DataError(f"{what} {text!r} contains no tokens", location)
+        return mention
     if not isinstance(start, int) or isinstance(start, bool) or start < 0:
         raise DataError(f"{what} start must be a non-negative token index", location)
     toks = token_strings(text)

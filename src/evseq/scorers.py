@@ -94,7 +94,7 @@ class OracleScorer:
             raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
         self.stream = (BOS, *target, EOS)
         self.epsilon = epsilon
-        self.vocab = tuple(sorted(set(vocab or ()) | set(self.stream)))
+        self.vocab = tuple(sorted(set(vocab or ()).union(self.stream)))
         self._rest: dict[str, float] | None = None
         self._uniform: dict[str, float] | None = None
 

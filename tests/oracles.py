@@ -24,6 +24,7 @@ from evseq import (
     EOS,
     OPEN,
     Argument,
+    CodecError,
     DecodeConfig,
     DecodeError,
     DecodeResult,
@@ -36,6 +37,7 @@ from evseq import (
     SchemaTries,
     SpanTrie,
     TokenizedInput,
+    TreeNode,
     TruncationError,
     build_span_trie,
     candidate_vocab,
@@ -305,6 +307,87 @@ def random_eval_records(
             args.append(Argument(rng.choice(("RoleX", "RoleY")), mention))
         records.append(EventRecord(event_type, trigger, tuple(args)))
     return records
+
+
+def _reference_offset(mention: Mention, what: str) -> int:
+    if mention.token_start is None:
+        raise CodecError(f"{what} {mention.text!r} is missing its token offset")
+    return mention.token_start
+
+
+def _reference_sort_key(mention: Mention, name: str) -> tuple:
+    return (_reference_offset(mention, "mention"), mention.token_end, name)
+
+
+def _reference_mention_tokens(mention: Mention) -> tuple[str, ...]:
+    if not mention.tokens:
+        raise CodecError(f"mention text {mention.text!r} contains no tokens")
+    for tok in mention.tokens:
+        if tok in RESERVED_TOKENS:
+            raise CodecError(f"mention text {mention.text!r} contains reserved token {tok!r}")
+    return mention.tokens
+
+
+def reference_to_tree(
+    records: Sequence[EventRecord], schema: EventSchema | None = None
+) -> TreeNode:
+    """The labeled tree built in three passes: each record's trigger
+    offset is checked and the record rebuilt with its arguments sorted;
+    the rebuilt records are sorted; then each is checked against the
+    schema (so a bad role is named in sorted argument order) and turned
+    into nodes.  Siblings sort by (start, end, label name)."""
+    rebuilt = []
+    for record in records:
+        _reference_offset(record.trigger, f"trigger of {record.type}")
+        args = sorted(record.args, key=lambda a: _reference_sort_key(a.mention, a.role))
+        rebuilt.append(EventRecord(record.type, record.trigger, tuple(args)))
+    rebuilt.sort(key=lambda r: _reference_sort_key(r.trigger, r.type))
+    events = []
+    for record in rebuilt:
+        if schema is not None:
+            if record.type not in schema:
+                raise CodecError(f"unknown event type {record.type!r}")
+            for arg in record.args:
+                if arg.role not in schema.roles(record.type):
+                    raise CodecError(
+                        f"role {arg.role!r} not permitted for event type {record.type!r}"
+                    )
+        trigger = _reference_mention_tokens(record.trigger)
+        args = tuple(
+            TreeNode(arg.role, _reference_mention_tokens(arg.mention)) for arg in record.args
+        )
+        events.append(TreeNode(record.type, trigger, args))
+    return TreeNode(None, (), tuple(events))
+
+
+def _reference_render(node: TreeNode, out: list[str]) -> None:
+    out.append(OPEN)
+    if node.label is not None:
+        out.extend(_label_tokens(node.label))
+    out.extend(node.span)
+    for child in node.children:
+        _reference_render(child, out)
+    out.append(CLOSE)
+
+
+def reference_linearize(
+    records: Sequence[EventRecord], schema: EventSchema | None = None
+) -> tuple[str, ...]:
+    """``reference_to_tree`` rendered depth-first."""
+    out: list[str] = []
+    _reference_render(reference_to_tree(records, schema), out)
+    return tuple(out)
+
+
+def reference_substructure_units(
+    records: Sequence[EventRecord],
+) -> list[tuple[str, tuple[str, ...]]]:
+    """(label, span) of each event node of ``reference_to_tree``, then of its arguments."""
+    units = []
+    for event in reference_to_tree(records).children:
+        units.append((event.label, event.span))
+        units.extend((arg.label, arg.span) for arg in event.children)
+    return units
 
 
 @dataclass(frozen=True)

@@ -298,6 +298,14 @@ def test_malformed_dataset_and_scorer_files_exit_4(capsys, tmp_path, schema_file
     code, _, err = run(capsys, "eval", gold_file, str(bad_rows))
     assert code == 4
     assert "id must be a string or an integer" in err
+    bad_rows.write_text(
+        '{"id": "x", "text": "a", "events": [{"type": "Transport", '
+        '"trigger": {"text": " ", "start": null}}]}\n',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "eval", gold_file, str(bad_rows))
+    assert (code, out) == (4, "")
+    assert err == f"format error: {bad_rows}:1: trigger ' ' contains no tokens\n"
 
 
 def test_eval_identity_is_perfect(capsys, gold_file):

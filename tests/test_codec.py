@@ -23,8 +23,16 @@ from evseq import (
     tree_to_seq,
 )
 from evseq.codec import mention_tokens
+from evseq.curriculum import substructure_units
 
-from oracles import erase_offsets, random_record_set, random_schema
+from oracles import (
+    erase_offsets,
+    random_record_set,
+    random_schema,
+    reference_linearize,
+    reference_substructure_units,
+    reference_to_tree,
+)
 
 
 def test_mention_properties():
@@ -317,6 +325,73 @@ def test_tree_composition_equals_linearize_random():
         schema = random_schema(rng, max_types=6, max_roles=4)
         records = random_record_set(rng, schema)
         assert tree_to_seq(to_tree(records, schema)) == linearize(records, schema)
+
+
+def test_linearize_names_the_first_bad_role_in_span_order():
+    # the roles are checked in the order they are rendered, not as given
+    schema = parse_schema("Attack: Target")
+    record = EventRecord(
+        "Attack",
+        Mention("fire", 3),
+        (Argument("Zeta", Mention("x", 5)), Argument("Alpha", Mention("y", 0))),
+    )
+    for encode in (linearize, to_tree):
+        with pytest.raises(CodecError, match="^role 'Alpha' not permitted for event type 'Attack'$"):
+            encode([record], schema)
+
+
+def test_linearize_checks_offsets_record_by_record():
+    # each trigger and then its arguments, before the next record
+    records = [
+        EventRecord("Attack", Mention("fire", 3), (Argument("Target", Mention("x")),)),
+        EventRecord("Attack", Mention("shot")),
+    ]
+    for encode in (linearize, to_tree):
+        with pytest.raises(CodecError, match="^mention 'x' is missing its token offset$"):
+            encode(records)
+    with pytest.raises(CodecError, match="^trigger of Attack 'shot' is missing"):
+        linearize(records[1:])
+
+
+_CHECK_SCHEMA = parse_schema("Attack: Target, Place\nArrest-Jail: Person, Time-Within\nAa: R")
+# known labels (two of them split into two tokens) and unknown ones
+_LABELS = st.sampled_from(
+    ("Attack", "Arrest-Jail", "Aa", "Target", "Place", "Person", "Time-Within", "R") * 3
+    + ("Bogus", "Zz")
+)
+# plain and multi-token mention texts, now and then one with a reserved
+# token or none at all
+_TEXTS = st.sampled_from(("x", "y", "x y", "Los Angeles", "a b c") * 6 + ("(", "x )", "<eos>", " "))
+# offsets that tie often, and now and then none
+_STARTS = st.sampled_from((None,) + (0, 1, 2, 3) * 8)
+_MENTIONS = st.builds(Mention, _TEXTS, _STARTS)
+_RECORDS = st.lists(
+    st.builds(
+        EventRecord,
+        _LABELS,
+        _MENTIONS,
+        st.lists(st.builds(Argument, _LABELS, _MENTIONS), max_size=4).map(tuple),
+    ),
+    max_size=4,
+)
+
+
+def _outcome(encode, *args):
+    try:
+        return encode(*args)
+    except Exception as err:  # the type and message are compared
+        return (type(err), str(err))
+
+
+@settings(max_examples=400, deadline=None)
+@given(records=_RECORDS, checked=st.booleans())
+def test_linearize_and_to_tree_match_the_three_pass_reference(records, checked):
+    schema = _CHECK_SCHEMA if checked else None
+    assert _outcome(linearize, records, schema) == _outcome(reference_linearize, records, schema)
+    assert _outcome(to_tree, records, schema) == _outcome(reference_to_tree, records, schema)
+    assert _outcome(substructure_units, records) == _outcome(
+        reference_substructure_units, records
+    )
 
 
 SOUP = ["(", ")", "Transport", "Arrest", "Jail", "Person", "returned", "<bos>", "x"]

@@ -271,6 +271,37 @@ def test_read_validates_offsets(tmp_path):
         read_dataset(path)
 
 
+def test_read_rejects_an_ungrounded_mention_without_tokens(tmp_path):
+    # grounded, such a mention already fails its offset check; ungrounded
+    # it would read as a mention with no tokens that eval counts
+    trigger_row = {
+        "id": "x",
+        "text": "a b",
+        "events": [{"type": "Transport", "trigger": {"text": " ", "start": None}}],
+    }
+    arg_row = {
+        "id": "y",
+        "text": "a b",
+        "events": [
+            {
+                "type": "Transport",
+                "trigger": {"text": "a", "start": 0},
+                "args": [{"role": "Origin", "text": "\t", "start": None}],
+            }
+        ],
+    }
+    path = tmp_path / "bad.jsonl"
+    write_lines(path, [FIG_LINE, trigger_row])
+    with pytest.raises(DataError) as exc:
+        read_dataset(path)
+    assert exc.value.location == f"{path}:2"
+    assert str(exc.value) == f"{path}:2: trigger ' ' contains no tokens"
+    write_lines(path, [arg_row])
+    with pytest.raises(DataError) as exc:
+        read_dataset(path)
+    assert str(exc.value) == f"{path}:1: argument 'Origin' '\\t' contains no tokens"
+
+
 def test_error_reports_correct_line_number(tmp_path):
     bad = dict(FIG_LINE)
     bad_events = json.loads(json.dumps(FIG_LINE["events"]))
