@@ -49,8 +49,9 @@ def _emit(path: str | None, lines: list[str]) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        data = text.encode("utf-8")  # before the file exists, so a failure leaves none
+        with open(path, "wb") as handle:
+            handle.write(data)
 
 
 def cmd_schema_validate(args) -> int:

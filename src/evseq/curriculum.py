@@ -18,19 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from statistics import fmean
 from typing import Iterable, Sequence
 
-from .codec import (
-    Argument,
-    EventRecord,
-    Mention,
-    TreeNode,
-    _ordered,
-    linearize,
-    mention_tokens,
-    tree_to_seq,
-)
+from .codec import Argument, EventRecord, Mention, _ordered, linearize, mention_tokens
 from .dataio import Example
 from .decoder import sequence_nll
 from .schema import EventSchema, split_label
@@ -43,7 +35,7 @@ from .scorers import (
     train_ngram,
 )
 from .span_index import TokenizedInput, token_strings
-from .tokens import RESERVED_TOKENS
+from .tokens import CLOSE, OPEN, RESERVED_TOKENS
 
 Pair = tuple[TokenizedInput, Sequence[EventRecord]]
 TargetPair = tuple[TokenizedInput, tuple[str, ...]]
@@ -79,9 +71,13 @@ def extract_substructures(
     """
     if mode not in ("concatenated", "per_unit"):
         raise ValueError(f"unknown substructure mode {mode!r}")
-    units = tuple(TreeNode(label, span) for label, span in substructure_units(records))
-    groups = [(unit,) for unit in units] if mode == "per_unit" else [units]
-    return [(inp, tree_to_seq(TreeNode(None, (), group))) for group in groups]
+    units = [
+        (OPEN, *split_label(label), *span, CLOSE)
+        for label, span in substructure_units(records)
+    ]
+    if mode == "per_unit":
+        return [(inp, (OPEN, *unit, CLOSE)) for unit in units]
+    return [(inp, (OPEN, *chain.from_iterable(units), CLOSE))]
 
 
 DEFAULT_WORDS = (

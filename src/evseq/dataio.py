@@ -124,6 +124,8 @@ def read_dataset(path) -> list[Example]:
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise DataError(f"invalid JSON: {err}", location) from None
+            except RecursionError:
+                raise DataError("invalid JSON: nested too deeply", location) from None
             examples.append(_example_from_obj(obj, location))
     return examples
 

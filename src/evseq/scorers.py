@@ -218,9 +218,13 @@ class NgramScorer:
     prefix tokens, which ``context_size`` declares.  It is a read-only
     ``Mapping`` in sorted token order that keeps the scores and their
     sum and divides only the values that are read, so a constrained
-    decode pays for its few legal tokens, not the whole support.  For
-    the input queried last, each backoff table's distribution is built
-    once and then returned again as the same object.
+    decode pays for its few legal tokens, not the whole support.  Each
+    count table is compiled once for the scorer's lifetime, on the first
+    query that uses it, into a plan of (position in the sorted vocab,
+    count + α) pairs, so ``counts`` are read-only once the scorer is
+    built.  For the input queried last, each backoff table's
+    distribution is built once and then returned again as the same
+    object.
     """
 
     def __init__(
@@ -251,11 +255,20 @@ class NgramScorer:
         # extra_vocab admits tokens never seen in training (smoothing
         # still gives them mass), e.g. label tokens of a schema
         self.vocab = frozenset(counts.get(1, {}).get((), {})) | frozenset(extra_vocab)
+        # sorted vocab and its token -> position map, built on the first
+        # query so that loading a scorer does no more work
+        self._positions: tuple[list, dict] | None = None
+        # id(table) -> (table, its pairs, its pairs outside the vocab) for
+        # every table queried, the table kept so that its id cannot be
+        # reused; equal (position, count + α) pairs of different tables
+        # are one object, kept in _pairs
+        self._plans: dict[int, tuple] = {}
+        self._pairs: dict[tuple, tuple] = {}
         # (input token set, its support, its token -> index map, its base
-        # scores, its memo) for the input decoded last; the memo maps
-        # id(table) to (table, distribution), the table kept so that its
-        # id cannot be reused
-        self._support_cache: tuple[frozenset[str], list, dict, list, dict] | None = None
+        # scores, its multipliers, its position -> index list or None, its
+        # memo) for the input decoded last; the memo maps id(table) to
+        # (table, distribution)
+        self._support_cache: tuple | None = None
 
     @property
     def context_size(self) -> int:
@@ -273,22 +286,62 @@ class NgramScorer:
             k -= 1
         return self.counts.get(1, {}).get((), {})
 
-    def _support(self, input_tokens: frozenset[str]) -> tuple[frozenset, list, dict, list, dict]:
+    def _vocab_positions(self) -> tuple[list, dict]:
+        positions = self._positions
+        if positions is None:
+            order = sorted(self.vocab)
+            positions = self._positions = (order, {t: p for p, t in enumerate(order)})
+        return positions
+
+    def _plan(self, table: Mapping[str, int]) -> tuple:
+        """``table`` compiled once for the scorer's lifetime: the table, a
+        (position in the sorted vocab, count + α) pair per vocab token it
+        counts, and a (token, count) pair per token outside the vocab,
+        which only an input that holds the token can score."""
+        plan = self._plans.get(id(table))
+        if plan is None:
+            position = self._vocab_positions()[1]
+            shared = self._pairs
+            pairs, outside = [], []
+            for token, count in table.items():
+                p = position.get(token)
+                if p is None:
+                    outside.append((token, count))
+                else:
+                    pair = (p, count + self.alpha)
+                    pairs.append(shared.setdefault(pair, pair))
+            plan = self._plans[id(table)] = (table, tuple(pairs), tuple(outside))
+        return plan
+
+    def _support(self, input_tokens: frozenset[str]) -> tuple:
         """The input token set, sorted ``vocab | input_tokens``, its token
         -> index map, the scores of a table that counts nothing (α, times
-        ``copy_boost`` at the input's tokens), and the memo of
-        distributions for that input; kept for the last input token set
-        seen, since a decode asks for one input many times in a row."""
+        ``copy_boost`` at the input's tokens), each index's multiplier
+        (``copy_boost`` at the input's tokens, else 1.0), the index of
+        each vocab position (None when the support is the vocab itself),
+        and the memo of distributions for that input; kept for the last
+        input token set seen, since a decode asks for one input many
+        times in a row."""
         cached = self._support_cache
         if cached is None or (
             cached[0] is not input_tokens and cached[0] != input_tokens
         ):
-            support = sorted(self.vocab | input_tokens)
-            index = {token: i for i, token in enumerate(support)}
+            order, position = self._vocab_positions()
+            if input_tokens <= self.vocab:
+                support, index, remap = order, position, None
+            else:
+                support = sorted(self.vocab | input_tokens)
+                index = {token: i for i, token in enumerate(support)}
+                remap = [index[token] for token in order]
             base = [self.alpha] * len(support)
+            mult = [1.0] * len(support)
             for token in input_tokens:
-                base[index[token]] *= self.copy_boost
-            cached = self._support_cache = (input_tokens, support, index, base, {})
+                i = index[token]
+                base[i] *= self.copy_boost
+                mult[i] = self.copy_boost
+            cached = self._support_cache = (
+                input_tokens, support, index, base, mult, remap, {}
+            )
         return cached
 
     def next_distribution(
@@ -299,26 +352,36 @@ class NgramScorer:
 
         Each score is (count + α) × boost, and a token the table does not
         count scores 0 + α == α, so the scores start from the input's
-        base scores and only the table's tokens are written.  They are
-        totalled by ``_left_fold``, and a value read is its score over the
-        total.  Raises ValueError when ``alpha`` and ``copy_boost`` are so
-        large that the total overflows.
+        base scores and only the table's tokens are written, from its
+        plan: count + α times the index's multiplier, where × 1.0 leaves
+        count + α exact.  They are totalled by ``_left_fold``, and a value
+        read is its score over the total.  Raises ValueError when
+        ``alpha`` and ``copy_boost`` are so large that the total
+        overflows.
         """
         table = self._table(prefix)
-        copied, support, index, base, memo = self._support(inp.token_set)
+        _, support, index, base, mult, remap, memo = self._support(inp.token_set)
         hit = memo.get(id(table))
         if hit is not None:
             return hit[1]
-        alpha, boost = self.alpha, self.copy_boost
+        _, pairs, outside = self._plan(table)
         scores = base.copy()
-        for token, count in table.items():
+        if remap is None:
+            for i, value in pairs:
+                scores[i] = value * mult[i]
+        else:
+            for p, value in pairs:
+                i = remap[p]
+                scores[i] = value * mult[i]
+        alpha = self.alpha
+        for token, count in outside:
             i = index.get(token)
             if i is not None:  # a count outside the support is ignored
-                scores[i] = (count + alpha) * boost if token in copied else count + alpha
+                scores[i] = (count + alpha) * mult[i]
         total = _left_fold(scores)
         if not total < inf:
             raise ValueError(
-                f"alpha={alpha!r} and copy_boost={boost!r} are too large:"
+                f"alpha={alpha!r} and copy_boost={self.copy_boost!r} are too large:"
                 f" the smoothed scores sum to {total}"
             )
         dist = _Distribution(support, index, scores, total)
@@ -417,7 +480,10 @@ def load_scorer(path) -> NgramScorer:
         return table
 
     with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle, object_pairs_hook=unique_keys)
+        try:
+            payload = json.load(handle, object_pairs_hook=unique_keys)
+        except RecursionError:
+            raise ValueError(f"{path}: malformed scorer artifact: nested too deeply") from None
     if not isinstance(payload, dict) or payload.get("format") != NGRAM_FORMAT:
         raise ValueError(f"{path}: not a scorer artifact")
     if payload.get("version") != NGRAM_VERSION:

@@ -308,6 +308,44 @@ def test_malformed_dataset_and_scorer_files_exit_4(capsys, tmp_path, schema_file
     assert err == f"format error: {bad_rows}:1: trigger ' ' contains no tokens\n"
 
 
+def test_deeply_nested_json_exits_4(capsys, tmp_path, schema_file, gold_file):
+    deep = "[" * 100_000 + "]" * 100_000
+    bad_rows = tmp_path / "deep.jsonl"
+    bad_rows.write_text(f'{{"id": "x", "text": "a", "events": {deep}}}\n', encoding="utf-8")
+    scorer = tmp_path / "scorer.json"
+    save_scorer(train_ngram([(TokenizedInput.from_tokens(["a"]), ("(", ")"))]), scorer)
+    for argv in (
+        ("eval", gold_file, str(bad_rows)),
+        ("encode", str(bad_rows), schema_file),
+        ("decode", str(bad_rows), schema_file, str(scorer)),
+        ("train", str(bad_rows), "--out", str(tmp_path / "trained.json")),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, ""), argv
+        assert err == f"format error: {bad_rows}:1: invalid JSON: nested too deeply\n"
+    payload = json.loads(scorer.read_text(encoding="utf-8"))
+    text = json.dumps({**payload, "counts": "COUNTS"})
+    scorer.write_text(text.replace('"COUNTS"', deep), encoding="utf-8")
+    code, out, err = run(capsys, "decode", gold_file, schema_file, str(scorer))
+    assert (code, out) == (4, "")
+    assert err == f"error: {scorer}: malformed scorer artifact: nested too deeply\n"
+
+
+def test_output_that_cannot_be_encoded_leaves_no_file(capsys, tmp_path, schema_file):
+    inputs = tmp_path / "inputs.jsonl"
+    inputs.write_text(
+        json.dumps({"id": "x", "text": "\ud800 y", "events": []}) + "\n", encoding="utf-8"
+    )
+    scorer = tmp_path / "scorer.json"
+    save_scorer(train_ngram([(TokenizedInput.from_tokens(["y"]), ("(", ")"))]), scorer)
+    preds = tmp_path / "preds.jsonl"
+    code, out, err = run(capsys, "decode", str(inputs), schema_file, str(scorer),
+                         "--out", str(preds))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: 'utf-8' codec can't encode character '\\ud800'")
+    assert not preds.exists()
+
+
 def test_eval_identity_is_perfect(capsys, gold_file):
     code, out, _ = run(capsys, "eval", gold_file, gold_file)
     assert code == 0

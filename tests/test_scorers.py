@@ -418,6 +418,38 @@ def test_ngram_distributions_equal_the_dense_formula(data, order, alpha, copy_bo
             assert list(got.items()) == list(want.items())  # floats with ==
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    order=st.integers(1, 4),
+    alpha=st.sampled_from([0.1, 1e-3, 2.5, 1, 3]),
+    copy_boost=st.sampled_from([1, 1.0, 4.0, 2.5, 3]),
+    extra=st.lists(st.sampled_from(["Label", "zz"]), max_size=2),
+)
+def test_ngram_plans_reused_across_inputs_equal_the_dense_formula(
+    data, order, alpha, copy_boost, extra
+):
+    # Count tables are compiled once per scorer and shared by every input:
+    # inputs inside the vocabulary, inputs with tokens outside it (some of
+    # them counted by a table above the unigrams), repeated and alternating.
+    counts = {k: data.draw(_tables(k)) for k in range(1, order + 1)}
+    scorer = NgramScorer(order, counts, alpha, copy_boost, extra)
+    words = sorted(scorer.vocab - {"<eos>"})  # "<eos>" reads as three tokens
+    in_vocab = st.lists(st.sampled_from(words), max_size=5) if words else st.just([])
+    with_oov = st.lists(st.sampled_from(POOL[3:] + OUTSIDE + ["oov"]), min_size=1, max_size=5)
+    inputs = [
+        TokenizedInput.from_tokens(data.draw(tokens))
+        for tokens in (in_vocab, with_oov, in_vocab, with_oov)
+    ]
+    prefixes = st.lists(st.sampled_from(POOL + OUTSIDE), max_size=4)
+    for _ in range(12):
+        inp = inputs[data.draw(st.integers(0, len(inputs) - 1))]
+        prefix = ("<bos>", *data.draw(prefixes))
+        got = scorer.next_distribution(inp, prefix)
+        want = reference_next_distribution(scorer, inp, prefix)
+        assert list(got.items()) == list(want.items())  # floats with ==
+
+
 ABSENT = ["never", "", "<pad>"]
 
 
