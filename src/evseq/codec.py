@@ -61,9 +61,11 @@ class Mention:
     Both are None while the mention is ungrounded.  ``tokens`` is the
     token form of ``text``: a caller that already holds it (a slice of
     the input it grounded the mention in, or the tokens of the mention
-    it replaces) passes it in, and must pass exactly
-    ``token_strings(text)``; otherwise it is computed here.  Equality,
-    hashing and repr see only the three fields above.
+    it replaces, or a parsed span that tokenizes back to itself) passes
+    it in, and must pass exactly ``token_strings(text)``, equal in value;
+    its strings are then shared with the caller's, not copied.
+    Otherwise it is computed here.  Equality, hashing and repr see only
+    the three fields above.
     """
 
     text: str
@@ -89,13 +91,13 @@ class Mention:
         return self.token_start is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Argument:
     role: str
     mention: Mention
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     type: str
     trigger: Mention
@@ -288,9 +290,9 @@ class _Parser:
             role = self.match_label(self.role_tries[event_type], "role")
             span = self.parse_span("argument", stop={CLOSE})
             self.expect(CLOSE)
-            args.append(Argument(role, Mention(" ".join(span))))
+            args.append(Argument(role, _parsed_mention(span)))
         self.expect(CLOSE)
-        return EventRecord(event_type, Mention(" ".join(trigger)), tuple(args))
+        return EventRecord(event_type, _parsed_mention(trigger), tuple(args))
 
     def match_label(self, trie: LabelTrie, kind: str) -> str:
         """Consume the longest label the trie matches from the cursor."""
@@ -328,6 +330,15 @@ class _Parser:
         return tuple(span)
 
 
+def _parsed_mention(span: tuple[str, ...]) -> Mention:
+    """The mention a parsed span spells: its tokens joined by spaces.
+    When that text tokenizes back to ``span`` the mention keeps the
+    span's own strings as its tokens, else the text's tokens."""
+    text = " ".join(span)
+    tokens = token_strings(text)
+    return Mention(text, tokens=span if tokens == span else tokens)
+
+
 def delinearize(tokens: Sequence[str], schema: EventSchema) -> tuple[EventRecord, ...]:
     """Parse a linearized sequence back into event records.
 
@@ -335,6 +346,10 @@ def delinearize(tokens: Sequence[str], schema: EventSchema) -> tuple[EventRecord
     or a CodecError pinpoints the first offending token position.  The
     sequence must not include sentinels (see ``strip_sentinels``).
     Mention offsets are unknown at this level, so every mention comes
-    back with ``token_start=None``.
+    back with ``token_start=None``.  A mention's text is its span's
+    tokens joined by single spaces; when that text tokenizes back to the
+    span (always, for a span the decoder copied from a tokenized input)
+    the mention's ``tokens`` are the span's own string objects, shared
+    with the sequence, else ``token_strings(text)``.
     """
     return _Parser(tokens, schema).parse()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
-from statistics import fmean
+from math import fsum
 from typing import Iterable, Sequence
 
 from .codec import Argument, EventRecord, Mention, _ordered, linearize, mention_tokens
@@ -237,6 +237,12 @@ def _label_vocab(pairs: Iterable[Pair]) -> set[str]:
     return vocab
 
 
+def _mean(values: list[float]) -> float:
+    # what statistics.fmean computes (3.10-3.13), without importing
+    # statistics and, through it, decimal
+    return fsum(values) / len(values)
+
+
 def curriculum_train(
     corpus: Sequence[Pair],
     n: int = 3,
@@ -279,11 +285,11 @@ def curriculum_train(
         add_counts(counts, scorer_direct.counts, full_epochs)
     scorer_curriculum = NgramScorer(n, counts, alpha, copy_boost, extra_vocab)
     heldout_targets = [(inp, linearize(records)) for inp, records in heldout]
-    nll_curriculum = fmean(
-        sequence_nll(scorer_curriculum, inp, target) for inp, target in heldout_targets
+    nll_curriculum = _mean(
+        [sequence_nll(scorer_curriculum, inp, target) for inp, target in heldout_targets]
     )
-    nll_direct = fmean(
-        sequence_nll(scorer_direct, inp, target) for inp, target in heldout_targets
+    nll_direct = _mean(
+        [sequence_nll(scorer_direct, inp, target) for inp, target in heldout_targets]
     )
     return CurriculumResult(
         scorer_curriculum,

@@ -13,9 +13,13 @@ an ungrounded mention (predictions may contain those, gold should not);
 its text must still hold at least one token.
 Offsets are validated on read: the tokens at ``start`` must equal the
 mention's own tokens, and that slice of the input's tokens is passed to
-the mention as its ``tokens``, so it shares the input's strings.  Files
-are UTF-8, one object per line, and are written deterministically so
-identical data produces identical bytes.
+the mention as its ``tokens``, so it shares the input's strings.  Within
+one ``read_dataset`` call every token, event type and role name is one
+string object per distinct value, the first one read: equal tokens of
+different lines are the same object, and so are equal labels.  A
+separate call shares nothing with it.  Files are UTF-8, one object per
+line, and are written deterministically so identical data produces
+identical bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .codec import Argument, EventRecord, Mention
-from .span_index import TokenizedInput, token_strings, tokenize
+from .span_index import TokenizedInput, _tokenize_shared, token_strings
 
 # json.dumps(obj, ensure_ascii=False) builds a new encoder per call; one
 # encoder with the same settings writes the same bytes
@@ -40,7 +44,7 @@ class DataError(ValueError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Example:
     """One dataset row: a sentence with its (possibly empty) record list."""
 
@@ -79,7 +83,7 @@ def _mention_from_obj(
     return Mention(text, start, inp.char_spans[start][0], span)
 
 
-def _example_from_obj(obj, location: str) -> Example:
+def _example_from_obj(obj, location: str, strings: dict[str, str]) -> Example:
     if not isinstance(obj, dict):
         raise DataError("each line must be a JSON object", location)
     for field in ("id", "text", "events"):
@@ -92,12 +96,14 @@ def _example_from_obj(obj, location: str) -> Example:
         raise DataError("text must be a string", location)
     if not isinstance(obj["events"], list):
         raise DataError("events must be a list", location)
-    inp = tokenize(obj["text"])
+    inp = _tokenize_shared(obj["text"], strings)
+    share = strings.setdefault
     records = []
     for event in obj["events"]:
         if not isinstance(event, dict) or "type" not in event or "trigger" not in event:
             raise DataError("event must have 'type' and 'trigger' fields", location)
-        if not isinstance(event["type"], str):
+        event_type = event["type"]
+        if not isinstance(event_type, str):
             raise DataError("event type must be a string", location)
         trigger = _mention_from_obj(event["trigger"], inp, "trigger", location)
         if not isinstance(event.get("args", []), list):
@@ -106,14 +112,16 @@ def _example_from_obj(obj, location: str) -> Example:
         for arg in event.get("args", ()):
             if not isinstance(arg, dict) or not isinstance(arg.get("role"), str):
                 raise DataError("argument must have a string 'role' field", location)
-            mention = _mention_from_obj(arg, inp, f"argument {arg['role']!r}", location)
-            args.append(Argument(arg["role"], mention))
-        records.append(EventRecord(event["type"], trigger, tuple(args)))
+            role = arg["role"]
+            mention = _mention_from_obj(arg, inp, f"argument {role!r}", location)
+            args.append(Argument(share(role, role), mention))
+        records.append(EventRecord(share(event_type, event_type), trigger, tuple(args)))
     return Example(str(sent_id), inp, tuple(records))
 
 
 def read_dataset(path) -> list[Example]:
     examples = []
+    strings: dict[str, str] = {}  # each distinct token and label, first seen
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -126,7 +134,9 @@ def read_dataset(path) -> list[Example]:
                 raise DataError(f"invalid JSON: {err}", location) from None
             except RecursionError:
                 raise DataError("invalid JSON: nested too deeply", location) from None
-            examples.append(_example_from_obj(obj, location))
+            except ValueError:  # an integer longer than int() may read
+                raise DataError("invalid JSON: an integer has too many digits", location) from None
+            examples.append(_example_from_obj(obj, location, strings))
     return examples
 
 

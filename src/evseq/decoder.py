@@ -428,7 +428,7 @@ def step(
     return here.as_view(tokens, span)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeResult:
     """A finished decode: the linearized body plus per-step log-probabilities.
 

@@ -10,7 +10,6 @@ module and return proper probability distributions.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import sys
@@ -45,7 +44,12 @@ def decoding_vocab(
     schema: EventSchema, inp: TokenizedInput | None = None
 ) -> frozenset[str]:
     """Every token decoding can involve: structure, sentinels, labels, input."""
-    vocab = RESERVED_TOKENS | schema.label_tokens
+    # the schema's part, built once and kept outside its fields, as the
+    # decoder keeps its grammar on the tries
+    kept = vars(schema)
+    vocab = kept.get("_decoding_vocab")
+    if vocab is None:
+        vocab = kept.setdefault("_decoding_vocab", RESERVED_TOKENS | schema.label_tokens)
     return vocab if inp is None else vocab.union(inp.tokens)
 
 
@@ -94,7 +98,9 @@ class OracleScorer:
             raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
         self.stream = (BOS, *target, EOS)
         self.epsilon = epsilon
-        self.vocab = tuple(sorted(set(vocab or ()).union(self.stream)))
+        tokens = set(vocab or ())
+        tokens.update(self.stream)
+        self.vocab = tuple(sorted(tokens))
         self._rest: dict[str, float] | None = None
         self._uniform: dict[str, float] | None = None
 
@@ -151,6 +157,8 @@ class RandomScorer:
     def next_distribution(
         self, inp: TokenizedInput, prefix: Sequence[str]
     ) -> Mapping[str, float]:
+        import hashlib  # here, so that importing evseq loads no OpenSSL
+
         key = f"{self.seed}".encode() + b"\x00" + "\x1f".join(prefix).encode()
         rng = random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
         weights = [rng.random() + 1e-6 for _ in self.vocab]
@@ -159,6 +167,7 @@ class RandomScorer:
 
 
 Counts = dict[int, dict[tuple[str, ...], dict[str, int]]]
+_FLOAT_MAX = sys.float_info.max
 EMPTY_CORPUS = "cannot train an n-gram scorer on an empty corpus"
 
 
@@ -536,9 +545,10 @@ def _first_repeat(keys):
 def _counts_from_blob(blob, order: int) -> Counts:
     """The count tables of an artifact's ``counts`` list of ``[k, tables]``
     entries: each k in 1..order, each context a list of k−1 strings, each
-    table a map from string tokens to positive integer counts.  An order,
-    a context within an order, or a token within a table that comes twice
-    is an error, not a silent overwrite."""
+    table a map from string tokens to positive integer counts that a
+    float can hold.  An order, a context within an order, or a token
+    within a table that comes twice is an error, not a silent
+    overwrite."""
     counts: Counts = {}
     for k, tables in blob:
         if not _is_int(k) or not 1 <= k <= order:
@@ -556,11 +566,15 @@ def _counts_from_blob(blob, order: int) -> Counts:
             if len(table) != len(pairs):
                 token = _first_repeat(token for token, _ in pairs)
                 raise ValueError(f"order-{k} context {context!r} counts token {token!r} twice")
+            # json gives no str or int subclass but bool, so these type
+            # tests are isinstance tests that refuse bool
             for token, count in table.items():
-                if not isinstance(token, str) or not _is_int(count) or count < 1:
+                if type(token) is not str or type(count) is not int or count < 1:
                     raise ValueError(
                         f"count {token!r}: {count!r} is not a positive integer"
                         " for a string token"
                     )
+                if count > _FLOAT_MAX:
+                    raise ValueError(f"count {token!r} is larger than a float can hold")
             by_context[key] = table
     return counts

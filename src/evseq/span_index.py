@@ -79,6 +79,21 @@ def tokenize(text: str) -> TokenizedInput:
     return TokenizedInput.from_text(text)
 
 
+def _tokenize_shared(text: str, strings: dict[str, str]) -> TokenizedInput:
+    """``tokenize(text)`` with each token taken from ``strings``: a token
+    equal to one seen before is that earlier string object, and a new
+    one is added, so the inputs that share ``strings`` share their
+    tokens."""
+    tokens = []
+    spans = []
+    share = strings.setdefault
+    for match in _TOKEN_RE.finditer(text):
+        token = match.group()
+        tokens.append(share(token, token))
+        spans.append(match.span())
+    return TokenizedInput(text, tuple(tokens), tuple(spans))
+
+
 def token_strings(text: str) -> tuple[str, ...]:
     """``tokenize(text).tokens``, without building the offsets."""
     return tuple(_TOKEN_RE.findall(text))

@@ -308,6 +308,39 @@ def test_malformed_dataset_and_scorer_files_exit_4(capsys, tmp_path, schema_file
     assert err == f"format error: {bad_rows}:1: trigger ' ' contains no tokens\n"
 
 
+def test_a_count_too_large_for_a_float_exits_4(capsys, tmp_path, schema_file, gold_file):
+    scorer = tmp_path / "scorer.json"
+    save_scorer(train_ngram([(TokenizedInput.from_tokens(["a"]), ("(", ")"))]), scorer)
+    payload = json.loads(scorer.read_text(encoding="utf-8"))
+    for _, tables in payload["counts"]:
+        tables[0][1][0][1] = 10**400
+    scorer.write_text(json.dumps(payload), encoding="utf-8")
+    preds = tmp_path / "preds.jsonl"
+    code, out, err = run(capsys, "decode", gold_file, schema_file, str(scorer), "--out", str(preds))
+    assert (code, out) == (4, "")
+    assert err == (
+        f"error: {scorer}: malformed scorer artifact: count '(' is larger than a float can hold\n"
+    )
+    assert not preds.exists()
+    # the largest float is still a count
+    payload["counts"][0][1][0][1][0][1] = int(1.7976931348623157e308)
+    payload["counts"] = payload["counts"][:1]
+    scorer.write_text(json.dumps({**payload, "order": 1}), encoding="utf-8")
+    assert load_scorer(scorer).counts[1][()]["("] == int(1.7976931348623157e308)
+
+
+def test_an_integer_with_too_many_digits_exits_4(capsys, tmp_path, gold_file):
+    bad_rows = tmp_path / "long-id.jsonl"
+    bad_rows.write_text(
+        '{"id": 1, "text": "a", "events": []}\n'
+        f'{{"id": {"7" * 5000}, "text": "a", "events": []}}\n',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "eval", gold_file, str(bad_rows))
+    assert (code, out) == (4, "")
+    assert err == f"format error: {bad_rows}:2: invalid JSON: an integer has too many digits\n"
+
+
 def test_deeply_nested_json_exits_4(capsys, tmp_path, schema_file, gold_file):
     deep = "[" * 100_000 + "]" * 100_000
     bad_rows = tmp_path / "deep.jsonl"

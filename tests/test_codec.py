@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import pickle
 import random
 
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 from evseq import (
     Argument,
     CodecError,
+    DecodeResult,
     DecodeState,
     EventRecord,
+    Example,
     Mention,
     TokenizedInput,
     build_span_trie,
@@ -24,6 +28,7 @@ from evseq import (
 )
 from evseq.codec import mention_tokens
 from evseq.curriculum import substructure_units
+from evseq.span_index import token_strings
 
 from oracles import (
     erase_offsets,
@@ -63,6 +68,29 @@ def test_mention_tokens_are_computed_once(monkeypatch):
     fresh = Mention("Los Angeles", token_start=4)
     assert m == fresh and hash(m) == hash(fresh)
     assert m != Mention("Los Angeles") and len({m, fresh}) == 1
+
+
+def _value_objects():
+    inp = TokenizedInput.from_text("The man returned")
+    arg = Argument("Artifact", Mention("The man", 0, 0))
+    record = EventRecord("Transport", Mention("returned", 2, 8), (arg,))
+    return [
+        (arg, "role", "Agent"),
+        (record, "type", "Arrest-Jail"),
+        (Example("s1", inp, (record,)), "id", "s2"),
+        (DecodeResult(("(", ")"), (-0.5, -0.25, 0.0)), "logprobs", (-1.0, 0.0, 0.0)),
+    ]
+
+
+@pytest.mark.parametrize("value, name, other", _value_objects())
+def test_per_sentence_values_are_slotted(value, name, other):
+    # no instance dict: a record list holds only its fields
+    assert not hasattr(value, "__dict__")
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value and type(copy) is type(value)
+    changed = dataclasses.replace(value, **{name: other})
+    assert getattr(changed, name) == other and changed != value
+    assert dataclasses.replace(changed, **{name: getattr(value, name)}) == value
 
 
 def test_mention_rejects_empty_text():
@@ -216,6 +244,28 @@ def test_delinearize_worked_example(fig_seq, fig_schema, fig_records):
     assert parsed == erase_offsets(fig_records)
     assert [r.type for r in parsed] == ["Transport", "Arrest-Jail"]
     assert parsed[1].args[2].mention.text == "bounty hunters"
+
+
+def test_delinearize_mentions_keep_the_span_strings():
+    schema = parse_schema("Transport: Artifact")
+    words = ["".join(["re", "turned"]), "".join(["The", "Man"]), "".join(["Mex", "ico"])]
+    seq = ("(", "(", "Transport", words[0], "(", "Artifact", words[1], words[2], ")", ")", ")")
+    (record,) = delinearize(seq, schema)
+    assert record.trigger.text == "returned"
+    assert record.trigger.tokens[0] is words[0]
+    (arg,) = record.args
+    assert arg.mention.text == "TheMan Mexico"
+    assert [tok is word for tok, word in zip(arg.mention.tokens, words[1:])] == [True, True]
+    assert arg.mention.tokens == token_strings(arg.mention.text)
+
+
+def test_delinearize_mention_that_tokenizes_differently_gets_its_text_tokens():
+    # "don't" is one token of the sequence but three of its text
+    schema = parse_schema("Transport: Artifact")
+    (record,) = delinearize(("(", "(", "Transport", "don't", "go", ")", ")"), schema)
+    assert record.trigger.text == "don't go"
+    assert record.trigger.tokens == token_strings("don't go") == ("don", "'", "t", "go")
+    assert record.trigger == Mention("don't go")
 
 
 def test_delinearize_empty():

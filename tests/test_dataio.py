@@ -250,6 +250,67 @@ def test_read_mentions_share_the_input_tokens(tmp_path):
     assert Mention("returned").tokens[0] is not record.trigger.tokens[0]
 
 
+SHARED_LINES = [
+    {
+        "id": "a",
+        "text": "The Contractor returned from Mexico",
+        "events": [
+            {
+                "type": "Transport",
+                "trigger": {"text": "returned", "start": 2},
+                "args": [{"role": "Artifact", "text": "The Contractor", "start": 0}],
+            }
+        ],
+    },
+    {
+        "id": "b",
+        "text": "Mexico returned The Contractor",
+        "events": [
+            {
+                "type": "Transport",
+                "trigger": {"text": "returned", "start": 1},
+                "args": [{"role": "Artifact", "text": "The Contractor", "start": 2}],
+            }
+        ],
+    },
+]
+
+
+def test_read_lines_of_one_file_share_tokens_and_labels(tmp_path):
+    # multi-character strings: CPython keeps one object per 1-character string anyway
+    path = tmp_path / "data.jsonl"
+    write_lines(path, SHARED_LINES)
+    first, second = read_dataset(path)
+    for word in ("The", "Contractor", "returned", "Mexico"):
+        i, j = first.inp.tokens.index(word), second.inp.tokens.index(word)
+        assert first.inp.tokens[i] is second.inp.tokens[j]
+    (rec1,), (rec2,) = first.records, second.records
+    assert rec1.type == "Transport" and rec1.type is rec2.type
+    assert rec1.args[0].role == "Artifact" and rec1.args[0].role is rec2.args[0].role
+    # mention tokens still slice their own input
+    for example, (record,) in ((first, first.records), (second, second.records)):
+        for mention in (record.trigger, record.args[0].mention):
+            start = mention.token_start
+            assert all(
+                tok is example.inp.tokens[start + k] for k, tok in enumerate(mention.tokens)
+            )
+    assert rec1.trigger.tokens[0] is rec2.trigger.tokens[0]
+    # what tokenize() gives is unchanged: a fresh string per token
+    assert tokenize(first.inp.text).tokens == first.inp.tokens
+    assert tokenize(first.inp.text).tokens[1] is not first.inp.tokens[1]
+
+
+def test_separate_reads_share_no_strings(tmp_path):
+    path = tmp_path / "data.jsonl"
+    write_lines(path, SHARED_LINES)
+    (first, _), (again, _) = read_dataset(path), read_dataset(path)
+    assert first == again
+    assert all(a is not b for a, b in zip(first.inp.tokens, again.inp.tokens))
+    (rec1,), (rec2,) = first.records, again.records
+    assert rec1.type is not rec2.type
+    assert rec1.args[0].role is not rec2.args[0].role
+
+
 def test_read_validates_offsets(tmp_path):
     row = {
         "id": "x",

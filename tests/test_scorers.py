@@ -33,6 +33,7 @@ from evseq import (
 )
 
 from evseq.scorers import _left_fold
+from evseq.tokens import RESERVED_TOKENS
 from oracles import (
     reference_eager_distribution,
     reference_next_distribution,
@@ -56,6 +57,18 @@ def test_decoding_vocab(fig_schema, fig_input):
     assert "Arrest-Jail" not in vocab  # labels enter split into word tokens
     without_input = decoding_vocab(fig_schema)
     assert "bounty" not in without_input
+
+
+def test_decoding_vocab_builds_the_schema_part_once(fig_schema, fig_input):
+    schema_part = decoding_vocab(fig_schema)
+    assert schema_part == RESERVED_TOKENS | fig_schema.label_tokens
+    assert decoding_vocab(fig_schema) is schema_part
+    assert decoding_vocab(fig_schema, fig_input) == schema_part | set(fig_input.tokens)
+    # a copy of the schema compares equal and keeps its own part
+    copy = parse_schema("\n".join(f"{t}: {', '.join(fig_schema.roles(t))}" for t in fig_schema))
+    assert copy == fig_schema and decoding_vocab(copy) == schema_part
+    # the kept part is not a field: repr and equality do not see it
+    assert "_decoding_vocab" not in repr(fig_schema)
 
 
 def test_uniform_scorer():
