@@ -35,7 +35,7 @@ from .scorers import (
     train_ngram,
 )
 from .span_index import TokenizedInput, token_strings
-from .tokens import CLOSE, OPEN, RESERVED_TOKENS
+from .tokens import CLOSE, OPEN
 
 Pair = tuple[TokenizedInput, Sequence[EventRecord]]
 TargetPair = tuple[TokenizedInput, tuple[str, ...]]
@@ -107,7 +107,7 @@ def generate_synthetic(
     occurs exactly once.  Event count per sentence is uniform on
     0..max_events, so a fraction of sentences carry no events.
     """
-    excluded = schema.label_tokens | RESERVED_TOKENS
+    excluded = schema._reserved_and_label_tokens
     words = [
         w for w in dict.fromkeys(vocab) if w not in excluded and token_strings(w) == (w,)
     ]

@@ -20,6 +20,8 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
+from .tokens import RESERVED_TOKENS
+
 _NAME_RE = re.compile(r"[A-Za-z0-9-]+\Z")
 
 
@@ -110,6 +112,12 @@ class EventSchema:
         """Word tokens of every type and role name, computed on first use."""
         names = [*self.event_types, *chain.from_iterable(self.event_types.values())]
         return frozenset(token for name in names for token in split_label(name))
+
+    @cached_property
+    def _reserved_and_label_tokens(self) -> frozenset[str]:
+        """The reserved structure tokens and ``label_tokens``: the tokens a
+        decode can emit whatever its input, computed on first use."""
+        return RESERVED_TOKENS | self.label_tokens
 
 
 def parse_schema(text: str, source_name: str = "<schema>") -> EventSchema:

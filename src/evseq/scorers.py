@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .schema import EventSchema
 from .span_index import TokenizedInput
-from .tokens import BOS, EOS, RESERVED_TOKENS
+from .tokens import BOS, EOS
 
 
 # The one left fold: ``values`` added left to right from 0.0, the same
@@ -44,12 +44,7 @@ def decoding_vocab(
     schema: EventSchema, inp: TokenizedInput | None = None
 ) -> frozenset[str]:
     """Every token decoding can involve: structure, sentinels, labels, input."""
-    # the schema's part, built once and kept outside its fields, as the
-    # decoder keeps its grammar on the tries
-    kept = vars(schema)
-    vocab = kept.get("_decoding_vocab")
-    if vocab is None:
-        vocab = kept.setdefault("_decoding_vocab", RESERVED_TOKENS | schema.label_tokens)
+    vocab = schema._reserved_and_label_tokens
     return vocab if inp is None else vocab.union(inp.tokens)
 
 
@@ -342,12 +337,15 @@ class NgramScorer:
                 support = sorted(self.vocab | input_tokens)
                 index = {token: i for i, token in enumerate(support)}
                 remap = [index[token] for token in order]
+            # a float boost keeps an int α or count + α from growing into
+            # an int that no float can hold: the product overflows to inf
+            boost = float(self.copy_boost)
             base = [self.alpha] * len(support)
             mult = [1.0] * len(support)
             for token in input_tokens:
                 i = index[token]
-                base[i] *= self.copy_boost
-                mult[i] = self.copy_boost
+                base[i] *= boost
+                mult[i] = boost
             cached = self._support_cache = (
                 input_tokens, support, index, base, mult, remap, {}
             )
@@ -507,7 +505,7 @@ def load_scorer(path) -> NgramScorer:
             kind = type(payload[key]).__name__
             raise ValueError(f"{path}: scorer artifact field {key!r} is a {kind}")
     try:
-        counts = _counts_from_blob(payload["counts"], payload["order"])
+        counts = _counts_from_blob(payload["counts"], payload["order"], payload["alpha"])
         vocab = payload.get("vocab", [])
         if not _is_strings(vocab):
             raise ValueError("vocab is not a list of strings")
@@ -542,13 +540,18 @@ def _first_repeat(keys):
         seen.add(key)
 
 
-def _counts_from_blob(blob, order: int) -> Counts:
+def _counts_from_blob(blob, order: int, alpha) -> Counts:
     """The count tables of an artifact's ``counts`` list of ``[k, tables]``
     entries: each k in 1..order, each context a list of k−1 strings, each
-    table a map from string tokens to positive integer counts that a
-    float can hold.  An order, a context within an order, or a token
-    within a table that comes twice is an error, not a silent
-    overwrite."""
+    table a map from string tokens to positive integer counts whose score,
+    count + ``alpha``, a float can hold.  An order, a context within an
+    order, or a token within a table that comes twice is an error, not a
+    silent overwrite."""
+    # an int α is added exactly before the sum becomes a float; an α that
+    # no float holds is NgramScorer's error
+    limit = _FLOAT_MAX
+    if type(alpha) is int and 0 < alpha <= _FLOAT_MAX:
+        limit = int(_FLOAT_MAX) - alpha
     counts: Counts = {}
     for k, tables in blob:
         if not _is_int(k) or not 1 <= k <= order:
@@ -574,7 +577,7 @@ def _counts_from_blob(blob, order: int) -> Counts:
                         f"count {token!r}: {count!r} is not a positive integer"
                         " for a string token"
                     )
-                if count > _FLOAT_MAX:
-                    raise ValueError(f"count {token!r} is larger than a float can hold")
+                if count > limit:
+                    raise ValueError(f"count {token!r} plus alpha is larger than a float can hold")
             by_context[key] = table
     return counts

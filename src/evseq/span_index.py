@@ -43,12 +43,7 @@ class TokenizedInput:
 
     @classmethod
     def from_text(cls, text: str) -> "TokenizedInput":
-        tokens = []
-        spans = []
-        for match in _TOKEN_RE.finditer(text):
-            tokens.append(match.group())
-            spans.append(match.span())
-        return cls(text, tuple(tokens), tuple(spans))
+        return _tokenize_shared(text, {})
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "TokenizedInput":

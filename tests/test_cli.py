@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -318,15 +319,32 @@ def test_a_count_too_large_for_a_float_exits_4(capsys, tmp_path, schema_file, go
     preds = tmp_path / "preds.jsonl"
     code, out, err = run(capsys, "decode", gold_file, schema_file, str(scorer), "--out", str(preds))
     assert (code, out) == (4, "")
-    assert err == (
-        f"error: {scorer}: malformed scorer artifact: count '(' is larger than a float can hold\n"
-    )
+    malformed = f"error: {scorer}: malformed scorer artifact: count '(' plus alpha is larger than a float can hold\n"
+    assert err == malformed
     assert not preds.exists()
-    # the largest float is still a count
-    payload["counts"][0][1][0][1][0][1] = int(1.7976931348623157e308)
+    # an int alpha is added to the count before either becomes a float
     payload["counts"] = payload["counts"][:1]
-    scorer.write_text(json.dumps({**payload, "order": 1}), encoding="utf-8")
-    assert load_scorer(scorer).counts[1][()]["("] == int(1.7976931348623157e308)
+    largest = int(sys.float_info.max)
+    for count in (largest, largest - 10**307 + 1):
+        payload["counts"][0][1][0][1][0][1] = count
+        scorer.write_text(json.dumps({**payload, "order": 1, "alpha": 10**307}), encoding="utf-8")
+        code, out, err = run(capsys, "decode", gold_file, schema_file, str(scorer),
+                             "--out", str(preds))
+        assert (code, out, err) == (4, "", malformed)
+    # the largest sum that converts is still a score; the scores then sum to inf
+    payload["counts"][0][1][0][1][0][1] = largest - 10**307
+    scorer.write_text(json.dumps({**payload, "order": 1, "alpha": 10**307}), encoding="utf-8")
+    assert load_scorer(scorer).counts[1][()]["("] == largest - 10**307
+    code, out, err = run(capsys, "decode", gold_file, schema_file, str(scorer), "--out", str(preds))
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: alpha={10**307} and copy_boost=4.0 are too large")
+    assert not preds.exists()
+    # with an int alpha and copy_boost, a boosted score overflows to inf, as with floats
+    payload["counts"][0][1][0][1][0][1] = largest - 1
+    scorer.write_text(json.dumps({**payload, "order": 1, "alpha": 1, "copy_boost": 4}),
+                      encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^alpha=1 and copy_boost=4 are too large"):
+        load_scorer(scorer).next_distribution(TokenizedInput.from_tokens(["("]), ())
 
 
 def test_an_integer_with_too_many_digits_exits_4(capsys, tmp_path, gold_file):

@@ -201,35 +201,3 @@ def test_importing_evseq_loads_neither_openssl_nor_decimal():
     )
     assert out.stdout.strip() == "[]"
 
-
-def _intern_calls(source: str) -> list[int]:
-    """Lines of a module's calls to ``intern``, by name or as an attribute
-    such as ``sys.intern``: an interned string may live as long as the
-    process, so shared strings come from a table with the data's lifetime."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Call)
-        and (
-            isinstance(node.func, ast.Name)
-            and node.func.id == "intern"
-            or isinstance(node.func, ast.Attribute)
-            and node.func.attr == "intern"
-        )
-    )
-
-
-def test_no_module_interns_strings():
-    modules = sorted(Path(evseq.__file__).parent.glob("*.py"))
-    assert modules
-    calls = {
-        path.name: lines
-        for path in modules
-        if (lines := _intern_calls(path.read_text(encoding="utf-8")))
-    }
-    assert calls == {}
-
-
-def test_the_intern_check_finds_both_spellings():
-    source = "import sys\nfrom sys import intern\n\nx = sys.intern('a')\ny = intern('b')\n"
-    assert _intern_calls(source) == [4, 5]

@@ -68,7 +68,7 @@ def test_decoding_vocab_builds_the_schema_part_once(fig_schema, fig_input):
     copy = parse_schema("\n".join(f"{t}: {', '.join(fig_schema.roles(t))}" for t in fig_schema))
     assert copy == fig_schema and decoding_vocab(copy) == schema_part
     # the kept part is not a field: repr and equality do not see it
-    assert "_decoding_vocab" not in repr(fig_schema)
+    assert "_reserved_and_label_tokens" not in repr(fig_schema)
 
 
 def test_uniform_scorer():
