@@ -13,12 +13,9 @@ from .codec import (
     CodecError,
     EventRecord,
     Mention,
-    TreeNode,
     delinearize,
     linearize,
     strip_sentinels,
-    to_tree,
-    tree_to_seq,
 )
 from .curriculum import (
     CurriculumResult,
@@ -69,7 +66,6 @@ from .span_index import (
     TokenizedInput,
     build_span_trie,
     find_occurrences,
-    tokenize,
 )
 from .tokens import BOS, CLOSE, EOS, OPEN
 
@@ -104,7 +100,6 @@ __all__ = [
     "Scorer",
     "SpanTrie",
     "TokenizedInput",
-    "TreeNode",
     "TruncationError",
     "UniformScorer",
     "build_span_trie",
@@ -132,10 +127,7 @@ __all__ = [
     "split_label",
     "step",
     "strip_sentinels",
-    "to_tree",
-    "tokenize",
     "train_ngram",
-    "tree_to_seq",
     "uniform_scorer",
     "write_dataset",
 ]

@@ -289,9 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(1), default=3)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--copy-boost", type=float, default=4.0)
-    regime = p.add_mutually_exclusive_group()
-    regime.add_argument("--curriculum", action="store_true", default=True)
-    regime.add_argument("--direct", action="store_true")
+    p.add_argument("--direct", action="store_true")
     p.add_argument("--sub-epochs", type=_int_at_least(0), default=5)
     p.add_argument("--full-epochs", type=_int_at_least(0), default=30)
     p.add_argument("--heldout", type=float, default=0.2)

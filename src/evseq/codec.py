@@ -12,11 +12,8 @@ Multi-token labels contribute one token per word part, as the schema's
 the two tokens "Arrest Jail".  An empty record list linearizes to
 "( )".  Sibling order is span appearance order: events sort by trigger
 offset, arguments within an event by argument offset, which is why
-linearization requires grounded mentions.  ``linearize`` and ``to_tree``
-share one ordering: ``linearize`` renders the ordered records straight
-into tokens, ``to_tree`` arranges them as a labeled tree, and
-``tree_to_seq(to_tree(records))`` gives the same tokens as
-``linearize(records)``.
+linearization requires grounded mentions.  The sequence is the event
+structure itself, rendered straight from the ordered records.
 
 ``delinearize`` inverts ``linearize`` on well-formed sequences, up to
 the offsets (a surface parse cannot know them).  When a label is a
@@ -181,10 +178,7 @@ def linearize(
 
     Every mention must carry a token offset: siblings are emitted in
     span appearance order (ties broken by span end, then label name).
-    Types and roles are validated when a schema is supplied.  The
-    records are ordered as ``to_tree`` orders them and rendered without
-    building the tree, so this equals ``tree_to_seq(to_tree(records,
-    schema))``.
+    Types and roles are validated when a schema is supplied.
     """
     out = [OPEN]
     for _, args, record in _ordered(records):
@@ -200,50 +194,6 @@ def linearize(
         out.append(CLOSE)
     out.append(CLOSE)
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """Labeled tree form: a label, its mention tokens, and child nodes.
-
-    The root carries no label and no span; its children are event nodes
-    whose children are argument nodes.
-    """
-
-    label: str | None
-    span: tuple[str, ...]
-    children: tuple["TreeNode", ...] = ()
-
-
-def to_tree(
-    records: Iterable[EventRecord], schema: EventSchema | None = None
-) -> TreeNode:
-    """Arrange records as a labeled tree under a virtual root, in
-    ``linearize``'s order."""
-    events = []
-    for _, args, record in _ordered(records):
-        _check_against_schema(record.type, args, schema)
-        trigger = mention_tokens(record.trigger)
-        children = tuple(TreeNode(arg.role, mention_tokens(arg.mention)) for arg in args)
-        events.append(TreeNode(record.type, trigger, children))
-    return TreeNode(None, (), tuple(events))
-
-
-def tree_to_seq(tree: TreeNode) -> tuple[str, ...]:
-    """Render a labeled tree depth-first into the parenthesized form."""
-    out: list[str] = []
-    _render(tree, out)
-    return tuple(out)
-
-
-def _render(node: TreeNode, out: list[str]) -> None:
-    out.append(OPEN)
-    if node.label is not None:
-        out.extend(split_label(node.label))
-    out.extend(node.span)
-    for child in node.children:
-        _render(child, out)
-    out.append(CLOSE)
 
 
 class _Parser:

@@ -19,7 +19,8 @@ string object per distinct value, the first one read: equal tokens of
 different lines are the same object, and so are equal labels.  A
 separate call shares nothing with it.  Files are UTF-8, one object per
 line, and are written deterministically so identical data produces
-identical bytes.
+identical bytes.  A string that UTF-8 cannot encode, a lone surrogate
+that a ``\\ud800`` escape spells, is refused at its line.
 """
 
 from __future__ import annotations
@@ -136,8 +137,19 @@ def read_dataset(path) -> list[Example]:
                 raise DataError("invalid JSON: nested too deeply", location) from None
             except ValueError:  # an integer longer than int() may read
                 raise DataError("invalid JSON: an integer has too many digits", location) from None
+            if "\\u" in line:  # only a \u escape can spell a lone surrogate
+                _check_encodable(obj, location)
             examples.append(_example_from_obj(obj, location, strings))
     return examples
+
+
+def _check_encodable(obj, location: str) -> None:
+    """DataError unless every string of ``obj`` can be written as UTF-8."""
+    try:
+        _ENCODER.encode(obj).encode("utf-8")
+    except UnicodeEncodeError as err:
+        bad = err.object[err.start : err.end]
+        raise DataError(f"a string holds {bad!r}, which UTF-8 cannot encode", location) from None
 
 
 def _mention_to_obj(mention: Mention) -> dict:

@@ -45,13 +45,6 @@ class MetricCounts:
         if self.matched > min(self.gold, self.predicted):
             raise ValueError("matched count exceeds gold or predicted count")
 
-    def __add__(self, other: "MetricCounts") -> "MetricCounts":
-        return MetricCounts(
-            self.gold + other.gold,
-            self.predicted + other.predicted,
-            self.matched + other.matched,
-        )
-
     @property
     def precision(self) -> float:
         return safe_div(self.matched, self.predicted)

@@ -110,8 +110,6 @@ class OracleScorer:
                 uniform = self._uniform = dict.fromkeys(self.vocab, 1.0 / len(self.vocab))
             return uniform.copy()
         target_token = self.stream[i]
-        if len(self.vocab) == 1:
-            return {target_token: 1.0}
         rest = self._rest
         if rest is None:
             rest = dict.fromkeys(self.vocab, self.epsilon / (len(self.vocab) - 1))
@@ -483,7 +481,7 @@ def load_scorer(path) -> NgramScorer:
         table = dict(pairs)
         if len(table) != len(pairs):
             key = _first_repeat(key for key, _ in pairs)
-            raise ValueError(f"{path}: malformed scorer artifact: key {key!r} comes twice")
+            raise ValueError(f"key {key!r} comes twice")
         return table
 
     with open(path, encoding="utf-8") as handle:
@@ -491,6 +489,8 @@ def load_scorer(path) -> NgramScorer:
             payload = json.load(handle, object_pairs_hook=unique_keys)
         except RecursionError:
             raise ValueError(f"{path}: malformed scorer artifact: nested too deeply") from None
+        except ValueError as err:  # not JSON, not UTF-8, an over-long integer, a repeated key
+            raise ValueError(f"{path}: malformed scorer artifact: {err}") from None
     if not isinstance(payload, dict) or payload.get("format") != NGRAM_FORMAT:
         raise ValueError(f"{path}: not a scorer artifact")
     if payload.get("version") != NGRAM_VERSION:

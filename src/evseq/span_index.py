@@ -43,12 +43,13 @@ class TokenizedInput:
 
     @classmethod
     def from_text(cls, text: str) -> "TokenizedInput":
+        """Tokenize ``text`` into word and punctuation tokens with char offsets."""
         return _tokenize_shared(text, {})
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "TokenizedInput":
         """Build from a pre-tokenized sentence, joining with single spaces;
-        ValueError for a token that ``tokenize`` would not give back."""
+        ValueError for a token that ``from_text`` would not give back."""
         tokens = tuple(tokens)
         text = " ".join(tokens)
         if token_strings(text) != tokens:
@@ -69,16 +70,11 @@ class TokenizedInput:
         return frozenset(self.tokens)
 
 
-def tokenize(text: str) -> TokenizedInput:
-    """Tokenize ``text`` into word and punctuation tokens with char offsets."""
-    return TokenizedInput.from_text(text)
-
-
 def _tokenize_shared(text: str, strings: dict[str, str]) -> TokenizedInput:
-    """``tokenize(text)`` with each token taken from ``strings``: a token
-    equal to one seen before is that earlier string object, and a new
-    one is added, so the inputs that share ``strings`` share their
-    tokens."""
+    """``TokenizedInput.from_text(text)`` with each token taken from
+    ``strings``: a token equal to one seen before is that earlier string
+    object, and a new one is added, so the inputs that share ``strings``
+    share their tokens."""
     tokens = []
     spans = []
     share = strings.setdefault
@@ -90,7 +86,7 @@ def _tokenize_shared(text: str, strings: dict[str, str]) -> TokenizedInput:
 
 
 def token_strings(text: str) -> tuple[str, ...]:
-    """``tokenize(text).tokens``, without building the offsets."""
+    """``TokenizedInput.from_text(text).tokens``, without building the offsets."""
     return tuple(_TOKEN_RE.findall(text))
 
 

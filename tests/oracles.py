@@ -37,7 +37,6 @@ from evseq import (
     SchemaTries,
     SpanTrie,
     TokenizedInput,
-    TreeNode,
     TruncationError,
     build_span_trie,
     candidate_vocab,
@@ -326,6 +325,17 @@ def _reference_mention_tokens(mention: Mention) -> tuple[str, ...]:
         if tok in RESERVED_TOKENS:
             raise CodecError(f"mention text {mention.text!r} contains reserved token {tok!r}")
     return mention.tokens
+
+
+@dataclass(frozen=True)
+class TreeNode:
+    """Labeled tree form: a label, its mention tokens, and child nodes.
+    The root carries no label and no span; its children are event nodes
+    whose children are argument nodes."""
+
+    label: str | None
+    span: tuple[str, ...]
+    children: tuple["TreeNode", ...] = ()
 
 
 def reference_to_tree(

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import json
 import sys
 from pathlib import Path
@@ -17,7 +19,9 @@ from evseq import (
     train_ngram,
     write_dataset,
 )
-from evseq.cli import main
+from evseq import cli
+from evseq.cli import _emit, build_parser, main
+from evseq.dataio import dataset_line
 from evseq.span_index import TokenizedInput
 
 from conftest import FIG_SENTENCE
@@ -280,6 +284,14 @@ def test_malformed_dataset_and_scorer_files_exit_4(capsys, tmp_path, schema_file
                        "--out", str(tmp_path / "preds.jsonl"))
     assert code == 4
     assert f"{scorer}: malformed scorer artifact: key '(' comes twice" in err
+    scorer.write_text("{", encoding="utf-8")
+    code, out, err = run(capsys, "decode", gold_file, schema_file, str(scorer),
+                         "--out", str(tmp_path / "preds.jsonl"))
+    assert (code, out) == (4, "")
+    assert err == (
+        f"error: {scorer}: malformed scorer artifact: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+    )
     payload.update(counts=counts, alpha=float("nan"))
     scorer.write_text(json.dumps(payload), encoding="utf-8")
     assert '"alpha": NaN' in scorer.read_text(encoding="utf-8")
@@ -382,19 +394,45 @@ def test_deeply_nested_json_exits_4(capsys, tmp_path, schema_file, gold_file):
     assert err == f"error: {scorer}: malformed scorer artifact: nested too deeply\n"
 
 
-def test_output_that_cannot_be_encoded_leaves_no_file(capsys, tmp_path, schema_file):
+def test_output_that_cannot_be_encoded_leaves_no_file(tmp_path):
+    # read_dataset refuses a lone surrogate, so the line is built by hand
+    example = Example("x", TokenizedInput.from_tokens(()), ())
+    preds = tmp_path / "preds.jsonl"
+    with pytest.raises(UnicodeEncodeError) as err:
+        _emit(str(preds), [dataset_line(example), "\ud800 y"])
+    assert str(err.value).startswith("'utf-8' codec can't encode character '\\ud800'")
+    assert not preds.exists()
+
+
+def test_a_string_that_utf8_cannot_encode_exits_4(capsys, tmp_path, schema_file, gold_file):
     inputs = tmp_path / "inputs.jsonl"
     inputs.write_text(
-        json.dumps({"id": "x", "text": "\ud800 y", "events": []}) + "\n", encoding="utf-8"
+        json.dumps({"id": "w", "text": "y \u00e9", "events": []}) + "\n"
+        + json.dumps({"id": "x", "text": "\ud800 y", "events": []}) + "\n",
+        encoding="utf-8",
     )
     scorer = tmp_path / "scorer.json"
     save_scorer(train_ngram([(TokenizedInput.from_tokens(["y"]), ("(", ")"))]), scorer)
     preds = tmp_path / "preds.jsonl"
-    code, out, err = run(capsys, "decode", str(inputs), schema_file, str(scorer),
-                         "--out", str(preds))
-    assert (code, out) == (4, "")
-    assert err.startswith("error: 'utf-8' codec can't encode character '\\ud800'")
+    for argv in (
+        ("decode", str(inputs), schema_file, str(scorer), "--out", str(preds)),
+        ("encode", str(inputs), schema_file),
+        ("eval", gold_file, str(inputs)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, ""), argv
+        assert err == (
+            f"format error: {inputs}:2: a string holds '\\ud800', which UTF-8 cannot encode\n"
+        )
     assert not preds.exists()
+    # an escaped character that UTF-8 can encode, and a surrogate pair, read as before
+    inputs.write_text(
+        json.dumps({"id": "x", "text": "y \u00e9 \U0001f600", "events": []}) + "\n",
+        encoding="utf-8",
+    )
+    assert "\\u00e9 \\ud83d\\ude00" in inputs.read_text(encoding="utf-8")
+    (example,) = read_dataset(inputs)
+    assert example.inp.text == "y \u00e9 \U0001f600"
 
 
 def test_eval_identity_is_perfect(capsys, gold_file):
@@ -550,6 +588,39 @@ def test_train_with_no_epochs_is_a_usage_error(capsys, tmp_path):
               "--sub-epochs", "0", "--full-epochs", "0"])
     assert exc.value.code == 2
     assert "arguments --sub-epochs, --full-epochs: not both 0" in capsys.readouterr().err
+
+
+def test_train_has_no_curriculum_flag(capsys, tmp_path):
+    # the curriculum is what train does unless --direct is given
+    with pytest.raises(SystemExit) as exc:
+        main(["train", str(tmp_path / "corpus.jsonl"), "--out", str(tmp_path / "s.json"),
+              "--curriculum"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --curriculum" in capsys.readouterr().err
+
+
+def test_every_option_is_read_by_its_command():
+    # an option whose value nothing reads is a setting that does nothing
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    unread = [
+        (name, action.dest)
+        for name, parser in commands.choices.items()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction) and action.dest not in read
+    ]
+    assert len(commands.choices) == 8
+    assert unread == []
 
 
 @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.2", "nan", "inf"])

@@ -23,8 +23,6 @@ from evseq import (
     parse_schema,
     step,
     strip_sentinels,
-    to_tree,
-    tree_to_seq,
 )
 from evseq.codec import mention_tokens
 from evseq.curriculum import substructure_units
@@ -234,9 +232,8 @@ def test_linearize_names_a_bad_trigger_before_a_bad_argument():
     record = EventRecord(
         "Attack", Mention("a (", 0), (Argument("Target", Mention("b )", 2)),)
     )
-    for encode in (linearize, to_tree):
-        with pytest.raises(CodecError, match="'a \\('"):
-            encode([record])
+    with pytest.raises(CodecError, match="'a \\('"):
+        linearize([record])
 
 
 def test_delinearize_worked_example(fig_seq, fig_schema, fig_records):
@@ -343,7 +340,8 @@ def test_roundtrip_random(seed):
 
 
 def test_to_tree_structure(fig_records, fig_schema):
-    tree = to_tree(fig_records, fig_schema)
+    # the tree that the linearized form spells (see reference_linearize)
+    tree = reference_to_tree(fig_records, fig_schema)
     assert tree.label is None and tree.span == ()
     assert [e.label for e in tree.children] == ["Transport", "Arrest-Jail"]
     transport = tree.children[0]
@@ -358,15 +356,12 @@ def test_to_tree_structure(fig_records, fig_schema):
 
 
 def test_to_tree_empty():
-    tree = to_tree([])
-    assert tree.children == ()
-    assert tree_to_seq(tree) == ("(", ")")
+    assert reference_to_tree([]).children == ()
+    assert linearize([]) == reference_linearize([]) == ("(", ")")
 
 
 def test_tree_composition_equals_linearize(fig_records, fig_schema):
-    assert tree_to_seq(to_tree(fig_records, fig_schema)) == linearize(
-        fig_records, fig_schema
-    )
+    assert reference_linearize(fig_records, fig_schema) == linearize(fig_records, fig_schema)
 
 
 def test_tree_composition_equals_linearize_random():
@@ -374,7 +369,7 @@ def test_tree_composition_equals_linearize_random():
     for _ in range(100):
         schema = random_schema(rng, max_types=6, max_roles=4)
         records = random_record_set(rng, schema)
-        assert tree_to_seq(to_tree(records, schema)) == linearize(records, schema)
+        assert reference_linearize(records, schema) == linearize(records, schema)
 
 
 def test_linearize_names_the_first_bad_role_in_span_order():
@@ -385,9 +380,8 @@ def test_linearize_names_the_first_bad_role_in_span_order():
         Mention("fire", 3),
         (Argument("Zeta", Mention("x", 5)), Argument("Alpha", Mention("y", 0))),
     )
-    for encode in (linearize, to_tree):
-        with pytest.raises(CodecError, match="^role 'Alpha' not permitted for event type 'Attack'$"):
-            encode([record], schema)
+    with pytest.raises(CodecError, match="^role 'Alpha' not permitted for event type 'Attack'$"):
+        linearize([record], schema)
 
 
 def test_linearize_checks_offsets_record_by_record():
@@ -396,9 +390,8 @@ def test_linearize_checks_offsets_record_by_record():
         EventRecord("Attack", Mention("fire", 3), (Argument("Target", Mention("x")),)),
         EventRecord("Attack", Mention("shot")),
     ]
-    for encode in (linearize, to_tree):
-        with pytest.raises(CodecError, match="^mention 'x' is missing its token offset$"):
-            encode(records)
+    with pytest.raises(CodecError, match="^mention 'x' is missing its token offset$"):
+        linearize(records)
     with pytest.raises(CodecError, match="^trigger of Attack 'shot' is missing"):
         linearize(records[1:])
 
@@ -438,7 +431,6 @@ def _outcome(encode, *args):
 def test_linearize_and_to_tree_match_the_three_pass_reference(records, checked):
     schema = _CHECK_SCHEMA if checked else None
     assert _outcome(linearize, records, schema) == _outcome(reference_linearize, records, schema)
-    assert _outcome(to_tree, records, schema) == _outcome(reference_to_tree, records, schema)
     assert _outcome(substructure_units, records) == _outcome(
         reference_substructure_units, records
     )

@@ -15,7 +15,7 @@ from evseq import (
     write_dataset,
 )
 from evseq.dataio import dataset_line, scored_pairs
-from evseq.span_index import TokenizedInput, token_strings, tokenize
+from evseq.span_index import TokenizedInput, token_strings
 
 FIG_LINE = {
     "id": "s1",
@@ -102,7 +102,7 @@ def test_write_is_byte_deterministic(tmp_path, fig_schema):
 
 
 def test_ungrounded_mentions_serialize_as_null(tmp_path):
-    inp = tokenize("some text here")
+    inp = TokenizedInput.from_text("some text here")
     example = Example(
         "p1",
         inp,
@@ -240,7 +240,7 @@ def test_read_mentions_share_the_input_tokens(tmp_path):
     (example,) = read_dataset(path)
     (record,) = example.records
     for mention in (record.trigger, *(a.mention for a in record.args)):
-        assert mention.tokens == tokenize(mention.text).tokens
+        assert mention.tokens == TokenizedInput.from_text(mention.text).tokens
         start = mention.token_start
         assert all(tok is example.inp.tokens[start + k] for k, tok in enumerate(mention.tokens))
         plain = Mention(mention.text, start, mention.char_start)
@@ -295,9 +295,9 @@ def test_read_lines_of_one_file_share_tokens_and_labels(tmp_path):
                 tok is example.inp.tokens[start + k] for k, tok in enumerate(mention.tokens)
             )
     assert rec1.trigger.tokens[0] is rec2.trigger.tokens[0]
-    # what tokenize() gives is unchanged: a fresh string per token
-    assert tokenize(first.inp.text).tokens == first.inp.tokens
-    assert tokenize(first.inp.text).tokens[1] is not first.inp.tokens[1]
+    # what TokenizedInput.from_text gives is unchanged: a fresh string per token
+    assert TokenizedInput.from_text(first.inp.text).tokens == first.inp.tokens
+    assert TokenizedInput.from_text(first.inp.text).tokens[1] is not first.inp.tokens[1]
 
 
 def test_separate_reads_share_no_strings(tmp_path):

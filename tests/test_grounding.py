@@ -14,8 +14,6 @@ from evseq import (
     linearize,
 )
 
-from evseq.span_index import tokenize
-
 from oracles import erase_offsets
 
 
@@ -164,7 +162,7 @@ def test_grounded_mentions_share_the_input_tokens():
     records = [record("Transport", "returned", ("Artifact", "The man"), ("Destination", "Los Angeles"))]
     (grounded,) = ground_records(records, inp)
     for mention in (grounded.trigger, *(a.mention for a in grounded.args)):
-        assert mention.tokens == tokenize(mention.text).tokens
+        assert mention.tokens == TokenizedInput.from_text(mention.text).tokens
         start = mention.token_start
         assert all(tok is inp.tokens[start + k] for k, tok in enumerate(mention.tokens))
         plain = Mention(mention.text, start, mention.char_start)

@@ -717,6 +717,21 @@ def test_load_scorer_rejects_foreign_files(tmp_path):
     with pytest.raises(ValueError) as err:
         load_scorer(repeated)
     assert str(err.value) == f"{repeated}: malformed scorer artifact: key '(' comes twice"
+    # what json.load itself refuses is named with the file, once
+    for text, reason in [
+        ("{", "Expecting property name enclosed in double quotes"),
+        ('{"format": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    ]:
+        repeated.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_scorer(repeated)
+        assert str(err.value).startswith(f"{repeated}: malformed scorer artifact: {reason}")
+    repeated.write_bytes(b'{"format": "\xff"}')
+    with pytest.raises(ValueError) as err:
+        load_scorer(repeated)
+    assert str(err.value).startswith(
+        f"{repeated}: malformed scorer artifact: 'utf-8' codec can't decode byte 0xff"
+    )
     for key in ("counts", "order", "alpha", "copy_boost"):
         partial = tmp_path / f"no-{key}.json"
         save_scorer(train_ngram(one_item_corpus()), partial)

@@ -9,7 +9,6 @@ from evseq import (
     TokenizedInput,
     build_span_trie,
     find_occurrences,
-    tokenize,
 )
 from evseq.span_index import token_strings
 from evseq.tokens import RESERVED_TOKENS
@@ -46,27 +45,27 @@ def node_ids(node, seen=None) -> set[int]:
 
 
 def test_tokenize_words_and_punctuation():
-    inp = tokenize("a,b")
+    inp = TokenizedInput.from_text("a,b")
     assert inp.tokens == ("a", ",", "b")
     assert inp.char_spans == ((0, 1), (1, 2), (2, 3))
 
 
 def test_tokenize_keeps_offsets_into_original_text():
     text = "Los Angeles, CA"
-    inp = tokenize(text)
+    inp = TokenizedInput.from_text(text)
     assert inp.tokens == ("Los", "Angeles", ",", "CA")
     for token, (start, end) in zip(inp.tokens, inp.char_spans):
         assert text[start:end] == token
 
 
 def test_tokenize_empty_and_whitespace():
-    assert tokenize("").tokens == ()
-    assert tokenize("   \n\t").tokens == ()
+    assert TokenizedInput.from_text("").tokens == ()
+    assert TokenizedInput.from_text("   \n\t").tokens == ()
 
 
 @given(st.text(alphabet="ab7_ ,.(\u00e9\n\t", max_size=12))
 def test_token_strings_are_the_tokens_of_tokenize(text):
-    assert token_strings(text) == tokenize(text).tokens
+    assert token_strings(text) == TokenizedInput.from_text(text).tokens
 
 
 def test_from_tokens_synthesizes_offsets():
@@ -84,8 +83,8 @@ def test_tokenized_input_validates_lengths():
 
 @given(st.lists(WORDS, max_size=8))
 def test_tokenize_is_idempotent_on_its_own_output(tokens):
-    once = tokenize(" ".join(tokens))
-    twice = tokenize(once.text if tokens else "")
+    once = TokenizedInput.from_text(" ".join(tokens))
+    twice = TokenizedInput.from_text(once.text if tokens else "")
     assert twice.tokens == once.tokens
 
 
