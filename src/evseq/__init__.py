@@ -39,7 +39,7 @@ from .decoder import (
     step,
 )
 from .evaluation import EvalReport, MetricCounts, evaluate
-from .grounding import ground_arguments, ground_records, ground_triggers
+from .grounding import ground_records, ground_triggers
 from .schema import (
     EventSchema,
     LabelTrie,
@@ -113,7 +113,6 @@ __all__ = [
     "extract_substructures",
     "find_occurrences",
     "generate_synthetic",
-    "ground_arguments",
     "ground_records",
     "ground_triggers",
     "linearize",

@@ -9,7 +9,11 @@ and decoder fuzzing.
 Exit codes: 0 success, 2 usage, 3 I/O, 4 malformed data or sequences,
 5 schema errors, 6 decoding failures: ``decode`` still writes every
 prediction, an empty one per failed sentence, and sums the failures up
-on one stderr line.
+on one stderr line.  A file that is not UTF-8 exits 4 naming its file
+and line.  Files are read and written through ``evseq.files``: an
+output file is written whole or not at all, and ``--out -`` means
+stdout.  A closed pipe, such as ``evseq encode ... | head -1``, ends
+the command with exit 3 and adds no message.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 
@@ -27,9 +32,10 @@ from .curriculum import (
     dataset_stats,
     generate_synthetic,
 )
-from .dataio import DataError, Example, dataset_line, read_dataset, scored_pairs
+from .dataio import Example, dataset_line, read_dataset, scored_pairs
 from .decoder import DecodeConfig, DecodeError, TruncationError, decode_batch
 from .evaluation import evaluate
+from .files import DataError, read_lines, read_text, write_lines
 from .grounding import ground_records
 from .schema import SchemaError, load_schema
 from .scorers import RandomScorer, decoding_vocab, load_scorer, save_scorer
@@ -43,15 +49,9 @@ EXIT_SCHEMA = 5
 EXIT_CONSTRAINT = 6
 
 
-def _emit(path: str | None, lines: list[str]) -> None:
-    """Write lines to a file, or to stdout when path is None or '-'."""
-    text = "".join(line + "\n" for line in lines)
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        data = text.encode("utf-8")  # before the file exists, so a failure leaves none
-        with open(path, "wb") as handle:
-            handle.write(data)
+def _out(path: str | None) -> str | None:
+    """The writer's target for an ``--out`` value: None, stdout, for '-'."""
+    return None if path == "-" else path
 
 
 def cmd_schema_validate(args) -> int:
@@ -65,14 +65,13 @@ def cmd_encode(args) -> int:
     schema = load_schema(args.schema)
     examples = read_dataset(args.records)
     lines = [" ".join(linearize(ex.records, schema)) for ex in examples]
-    _emit(args.out, lines)
+    write_lines(_out(args.out), lines)
     return EXIT_OK
 
 
 def cmd_parse(args) -> int:
     schema = load_schema(args.schema)
-    with open(args.seqs, encoding="utf-8") as handle:
-        raw_lines = [line.strip() for line in handle]
+    raw_lines = [line.strip() for line in read_lines(args.seqs)]
     out = []
     for lineno, line in enumerate(raw_lines, start=1):
         if not line:
@@ -89,7 +88,7 @@ def cmd_parse(args) -> int:
             raise CodecError(f"line {lineno}{position}: {err}") from None
         example = Example(f"line-{lineno}", TokenizedInput.from_tokens(()), records)
         out.append(dataset_line(example))
-    _emit(args.out, out)
+    write_lines(_out(args.out), out)
     return EXIT_OK
 
 
@@ -125,7 +124,7 @@ def cmd_decode(args) -> int:
             "emitted empty record lists for them",
             file=sys.stderr,
         )
-    _emit(args.out, [dataset_line(p) for p in predictions])
+    write_lines(_out(args.out), map(dataset_line, predictions))
     if failed:
         more = f" (+{len(failed) - 3} more)" if len(failed) > 3 else ""
         summary = f"{len(failed)} of {len(examples)} item(s) failed, written with no events"
@@ -164,17 +163,14 @@ def cmd_eval(args) -> int:
     report = evaluate(scored_pairs(gold), scored_pairs(predicted))
     print(report.format_text())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.as_dict(), handle, ensure_ascii=False, indent=2)
-            handle.write("\n")
+        write_lines(args.json, [json.dumps(report.as_dict(), ensure_ascii=False, indent=2)])
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
     schema = load_schema(args.schema)
     if args.vocab_file:
-        with open(args.vocab_file, encoding="utf-8") as handle:
-            vocab = tuple(handle.read().split())
+        vocab = tuple(read_text(args.vocab_file).split())
     else:
         vocab = DEFAULT_WORDS
     examples = generate_synthetic(
@@ -185,7 +181,7 @@ def cmd_synth(args) -> int:
         max_events=args.max_events,
         max_args=args.max_args,
     )
-    _emit(args.out, [dataset_line(ex) for ex in examples])
+    write_lines(_out(args.out), map(dataset_line, examples))
     stats = dataset_stats(examples)
     print(
         "generated {sentences} sentences, {events} events, {arguments} arguments".format(
@@ -339,7 +335,22 @@ def main(argv=None) -> int:
         if not 1.0 <= args.copy_boost < math.inf:
             parser.error(f"argument --copy-boost: must be finite and >= 1, got {args.copy_boost}")
     try:
+        code = _run(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: nothing to tell it, and the flush
+        # at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+
+
+def _run(args) -> int:
+    """Run the command, turning its expected errors into exit codes."""
+    try:
         return args.func(args)
+    except BrokenPipeError:
+        raise
     except SchemaError as err:
         print(f"schema error: {err}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -20,7 +20,10 @@ different lines are the same object, and so are equal labels.  A
 separate call shares nothing with it.  Files are UTF-8, one object per
 line, and are written deterministically so identical data produces
 identical bytes.  A string that UTF-8 cannot encode, a lone surrogate
-that a ``\\ud800`` escape spells, is refused at its line.
+that a ``\\ud800`` escape spells, is refused at its line, and so is a
+byte that is not UTF-8.  Files are read and written through
+``evseq.files``, so ``write_dataset`` writes its file whole or not at
+all.
 """
 
 from __future__ import annotations
@@ -30,19 +33,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .codec import Argument, EventRecord, Mention
+from .files import DataError, read_lines, write_lines
 from .span_index import TokenizedInput, _tokenize_shared, token_strings
 
 # json.dumps(obj, ensure_ascii=False) builds a new encoder per call; one
 # encoder with the same settings writes the same bytes
 _ENCODER = json.JSONEncoder(ensure_ascii=False)
-
-
-class DataError(ValueError):
-    """Malformed dataset content; carries a ``location`` such as file:line."""
-
-    def __init__(self, message: str, location: str | None = None):
-        self.location = location
-        super().__init__(f"{location}: {message}" if location else message)
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,23 +119,22 @@ def _example_from_obj(obj, location: str, strings: dict[str, str]) -> Example:
 def read_dataset(path) -> list[Example]:
     examples = []
     strings: dict[str, str] = {}  # each distinct token and label, first seen
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            location = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataError(f"invalid JSON: {err}", location) from None
-            except RecursionError:
-                raise DataError("invalid JSON: nested too deeply", location) from None
-            except ValueError:  # an integer longer than int() may read
-                raise DataError("invalid JSON: an integer has too many digits", location) from None
-            if "\\u" in line:  # only a \u escape can spell a lone surrogate
-                _check_encodable(obj, location)
-            examples.append(_example_from_obj(obj, location, strings))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        location = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise DataError(f"invalid JSON: {err}", location) from None
+        except RecursionError:
+            raise DataError("invalid JSON: nested too deeply", location) from None
+        except ValueError:  # an integer longer than int() may read
+            raise DataError("invalid JSON: an integer has too many digits", location) from None
+        if "\\u" in line:  # only a \u escape can spell a lone surrogate
+            _check_encodable(obj, location)
+        examples.append(_example_from_obj(obj, location, strings))
     return examples
 
 
@@ -176,10 +171,8 @@ def dataset_line(example: Example) -> str:
 
 
 def write_dataset(examples: Iterable[Example], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for example in examples:
-            handle.write(dataset_line(example))
-            handle.write("\n")
+    """Write one line per example to ``path``, whole or not at all."""
+    write_lines(path, map(dataset_line, examples))
 
 
 def scored_pairs(

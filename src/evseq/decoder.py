@@ -701,7 +701,7 @@ def decode_batch(
         try:
             outcomes.append(constrained_decode(one, inp, schema, config, max_span_len))
         except DecodeError as err:
-            outcomes.append(err)
+            outcomes.append(err.with_traceback(None))  # keeps no frame of the search
     return outcomes
 
 

@@ -66,16 +66,6 @@ def ground_triggers(
     return tuple(out)
 
 
-def ground_arguments(record: EventRecord, inp: TokenizedInput) -> EventRecord:
-    """Ground a record's arguments relative to its already-grounded trigger."""
-    anchor = record.trigger.token_start
-    if anchor is None:
-        raise ValueError(
-            f"trigger {record.trigger.text!r} must be grounded before its arguments"
-        )
-    return EventRecord(record.type, record.trigger, _ground_args(record.args, inp, anchor))
-
-
 def ground_records(
     records: Iterable[EventRecord], inp: TokenizedInput
 ) -> tuple[EventRecord, ...]:

@@ -10,6 +10,9 @@ construction and safe to share across concurrent decoders.  Each schema
 object computes two things once and keeps them: ``EventSchema.tries``,
 the tries the decoder and the parser walk, and
 ``EventSchema.label_tokens``, the set of word tokens of all its names.
+``load_schema`` reads its UTF-8 file through ``evseq.files``: a byte
+that is not UTF-8 is that module's ``DataError`` at its line, not a
+``SchemaError``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
+from .files import read_text
 from .tokens import RESERVED_TOKENS
 
 _NAME_RE = re.compile(r"[A-Za-z0-9-]+\Z")
@@ -161,9 +165,9 @@ def parse_schema(text: str, source_name: str = "<schema>") -> EventSchema:
 
 
 def load_schema(path) -> EventSchema:
-    """Read and validate a schema document from ``path``."""
-    with open(path, encoding="utf-8") as handle:
-        return parse_schema(handle.read(), source_name=str(path))
+    """Read and validate a schema document from the UTF-8 file ``path``;
+    bytes that are not UTF-8 are a ``DataError`` at their line."""
+    return parse_schema(read_text(path), source_name=str(path))
 
 
 class TrieNode:

@@ -20,6 +20,7 @@ from math import inf
 from operator import add, truediv
 from typing import Iterable, Sequence
 
+from .files import DataError, read_text, write_lines
 from .schema import EventSchema
 from .span_index import TokenizedInput
 from .tokens import BOS, EOS
@@ -443,7 +444,8 @@ NGRAM_VERSION = 1
 
 
 def save_scorer(scorer: NgramScorer, path) -> None:
-    """Write a trained n-gram scorer as a versioned JSON artifact.
+    """Write a trained n-gram scorer as a versioned JSON artifact, one
+    line of UTF-8, whole or not at all (see ``evseq.files``).
 
     Contexts and tokens are sorted so identical scorers serialize
     byte-identically.
@@ -467,15 +469,15 @@ def save_scorer(scorer: NgramScorer, path) -> None:
         "vocab": sorted(scorer.vocab),
         "counts": counts_blob,
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False)
-        handle.write("\n")
+    write_lines(path, [json.dumps(payload, ensure_ascii=False)])
 
 
 def load_scorer(path) -> NgramScorer:
     """Read back an artifact written by ``save_scorer``.  A JSON object
     that repeats a key, such as a hand-edited count table, is refused
-    rather than read as the key's last value."""
+    rather than read as the key's last value.  Every refusal is a
+    ``ValueError`` that names ``path``; for bytes that are not UTF-8 it
+    gives the codec's own message."""
 
     def unique_keys(pairs):
         table = dict(pairs)
@@ -484,13 +486,14 @@ def load_scorer(path) -> NgramScorer:
             raise ValueError(f"key {key!r} comes twice")
         return table
 
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle, object_pairs_hook=unique_keys)
-        except RecursionError:
-            raise ValueError(f"{path}: malformed scorer artifact: nested too deeply") from None
-        except ValueError as err:  # not JSON, not UTF-8, an over-long integer, a repeated key
-            raise ValueError(f"{path}: malformed scorer artifact: {err}") from None
+    try:
+        payload = json.loads(read_text(path), object_pairs_hook=unique_keys)
+    except DataError as err:  # not UTF-8, worded as the codec words it
+        raise ValueError(f"{path}: malformed scorer artifact: {err.__cause__}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: malformed scorer artifact: nested too deeply") from None
+    except ValueError as err:  # not JSON, an over-long integer, a repeated key
+        raise ValueError(f"{path}: malformed scorer artifact: {err}") from None
     if not isinstance(payload, dict) or payload.get("format") != NGRAM_FORMAT:
         raise ValueError(f"{path}: not a scorer artifact")
     if payload.get("version") != NGRAM_VERSION:

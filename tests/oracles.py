@@ -279,6 +279,29 @@ def random_record_set(
     return records
 
 
+def ground_arguments(record: EventRecord, inp: TokenizedInput) -> EventRecord:
+    """The nearest rule alone, by scanning every start: each argument at
+    the occurrence whose start is nearest its grounded trigger's, the
+    earlier of two as near; an argument with no occurrence stays
+    ungrounded and keeps its tokens."""
+    anchor = record.trigger.token_start
+    if anchor is None:
+        raise ValueError(f"trigger {record.trigger.text!r} must be grounded before its arguments")
+    args = []
+    for arg in record.args:
+        tokens = arg.mention.tokens
+        n = len(tokens)
+        starts = [s for s in range(len(inp.tokens) - n + 1) if inp.tokens[s : s + n] == tokens]
+        if starts:
+            start = min(starts, key=lambda s: (abs(s - anchor), s))
+            span = inp.tokens[start : start + n]
+            mention = Mention(arg.mention.text, start, inp.char_spans[start][0], span)
+        else:
+            mention = Mention(arg.mention.text, tokens=tokens)
+        args.append(Argument(arg.role, mention))
+    return EventRecord(record.type, record.trigger, tuple(args))
+
+
 def erase_offsets(records: Sequence[EventRecord]) -> tuple[EventRecord, ...]:
     return tuple(
         EventRecord(

@@ -20,8 +20,9 @@ from evseq import (
     write_dataset,
 )
 from evseq import cli
-from evseq.cli import _emit, build_parser, main
+from evseq.cli import build_parser, main
 from evseq.dataio import dataset_line
+from evseq.files import write_lines
 from evseq.span_index import TokenizedInput
 
 from conftest import FIG_SENTENCE
@@ -398,10 +399,17 @@ def test_output_that_cannot_be_encoded_leaves_no_file(tmp_path):
     # read_dataset refuses a lone surrogate, so the line is built by hand
     example = Example("x", TokenizedInput.from_tokens(()), ())
     preds = tmp_path / "preds.jsonl"
+    lines = [dataset_line(example), "\ud800 y"]
     with pytest.raises(UnicodeEncodeError) as err:
-        _emit(str(preds), [dataset_line(example), "\ud800 y"])
+        write_lines(str(preds), lines)
     assert str(err.value).startswith("'utf-8' codec can't encode character '\\ud800'")
     assert not preds.exists()
+    # an existing target is left byte-identical, and no temporary file stays
+    preds.write_bytes(b"old\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_lines(str(preds), lines)
+    assert preds.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [preds]
 
 
 def test_a_string_that_utf8_cannot_encode_exits_4(capsys, tmp_path, schema_file, gold_file):

@@ -1101,6 +1101,15 @@ def test_decode_batch_aggregates_errors(tiny_schema):
     assert str(second) == "no end sentinel within max_length=16 tokens"
 
 
+def test_decode_batch_errors_keep_no_frames(tiny_schema):
+    # a traceback would keep the failed search's frames, and all they hold, alive
+    inp = TokenizedInput.from_tokens(["tok"])
+    stuck = uniform_scorer(decoding_vocab(tiny_schema, inp))
+    (error,) = decode_batch(stuck, [inp], tiny_schema, DecodeConfig(max_length=16))
+    assert isinstance(error, TruncationError)
+    assert error.__traceback__ is None
+
+
 # ---------------------------------------------------------------------- nll
 
 

@@ -8,13 +8,12 @@ from evseq import (
     Mention,
     TokenizedInput,
     delinearize,
-    ground_arguments,
     ground_records,
     ground_triggers,
     linearize,
 )
 
-from oracles import erase_offsets
+from oracles import erase_offsets, ground_arguments
 
 
 def record(type_, trigger, *args):
