@@ -133,18 +133,21 @@ def read_dataset(path) -> list[Example]:
         except ValueError:  # an integer longer than int() may read
             raise DataError("invalid JSON: an integer has too many digits", location) from None
         if "\\u" in line:  # only a \u escape can spell a lone surrogate
-            _check_encodable(obj, location)
+            bad = _unencodable(obj)
+            if bad is not None:
+                raise DataError(f"a string holds {bad!r}, which UTF-8 cannot encode", location)
         examples.append(_example_from_obj(obj, location, strings))
     return examples
 
 
-def _check_encodable(obj, location: str) -> None:
-    """DataError unless every string of ``obj`` can be written as UTF-8."""
+def _unencodable(obj) -> str | None:
+    """The first character of ``obj``'s strings that UTF-8 cannot encode
+    (a lone surrogate), or None."""
     try:
         _ENCODER.encode(obj).encode("utf-8")
     except UnicodeEncodeError as err:
-        bad = err.object[err.start : err.end]
-        raise DataError(f"a string holds {bad!r}, which UTF-8 cannot encode", location) from None
+        return err.object[err.start : err.end]
+    return None
 
 
 def _mention_to_obj(mention: Mention) -> dict:

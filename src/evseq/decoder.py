@@ -19,8 +19,9 @@ shared by every sentence, a state→allowed-token index in the manner of
 Willard & Louf (2023).  It is compiled in full the first time a decode
 needs it: every reachable state with all of its transitions; nothing
 writes to it after that.  A state holds its phase, its label-trie node
-and event type, its legal structure and label tokens as a frozenset, a
-token→next-state table, and the state a copied mention token leads to.
+and event type, its legal structure and label tokens as a frozenset and
+as a sorted tuple, a token→next-state table, and the state a copied
+mention token leads to.
 The grammar is thus a graph of states, loops included, owned by the
 tries; the cyclic collector frees it once its schema is dropped.  Mention
 tokens are not in the grammar: they are the keys of a node of the
@@ -30,7 +31,9 @@ where no mention token is legal); a grammar token steps to
 ``state.next[token]`` (and the span trie's root, if mention tokens may
 follow), a mention token to ``state.span_next`` and the node's child.
 Greedy and beam search walk these pairs and keep only the emitted prefix
-and its log-probabilities themselves, one copy per hypothesis;
+and its log-probabilities themselves: greedy in one list each, beam a
+prefix tuple per hypothesis (the scorer reads it) and a link to its
+parent's log-probabilities, built into a tuple for the winner alone;
 ``DecodeState``, ``candidate_vocab`` and ``step`` are views on the same
 pairs: a state holds nothing but its fields, and every call replays its
 tokens to find its pair.  Each search scores a position's legal tokens
@@ -51,9 +54,16 @@ Each hypothesis remembers the last candidate it did not keep: a later
 one with the same probability has the same key and the same prefix, and
 if its token is larger (or the remembered key exceeded the bar) it sorts
 after a candidate that already lost, so it is dropped before its log is
-taken.  A label token's second copy is dropped only once it beats the
-bar, just before it would be kept; before that, the bar and the skip
-treat it as they would the first copy.  This is threshold pruning
+taken.  Beam meets a hypothesis's grammar tokens in sorted order (the
+state's tuple), then its mention tokens: the span trie's root in sorted
+order, sorted once per decode, and a node below it, which has few
+children, in its own order.  So within a sorted source a later candidate
+whose probability equals the last dropped one is always larger, and a
+tie group is cut after its first loss, so beam's work does not depend on
+the hash seed; the token test keeps the skip exact below the root.  A
+label token's second copy is dropped only once it beats the bar, just
+before it would be kept; before that, the bar and the skip treat it as
+they would the first copy.  This is threshold pruning
 (Freitag & Al-Onaizan 2017) done exactly: every legal probability is
 still read and checked first, so the survivors, their order, the scorer
 calls and the error rule are those of a search that keeps every
@@ -203,15 +213,17 @@ class _State:
     It holds the ``DecodeState`` fields other than ``tokens`` and
     ``partial_span``, the label-trie node while a label is spelled out,
     ``tokens``, its legal grammar tokens (structure and label tokens),
-    and ``next``, its grammar transitions: each of ``tokens`` to the next
-    state.  A state that takes mention tokens from a span-trie node (a
-    mention, or a label that may end here) has ``span_next``, the state a
-    mention token leads to, which for a non-empty mention is the state
-    itself; other states have None.
+    ``order``, the same tokens sorted, the order beam meets them in so
+    that it cuts a tie group after its first loss and skips the rest on
+    their probability, and ``next``, its grammar transitions: each of
+    ``tokens`` to the next state.  A state that takes mention tokens from
+    a span-trie node (a mention, or a label that may end here) has
+    ``span_next``, the state a mention token leads to, which for a
+    non-empty mention is the state itself; other states have None.
     """
 
-    __slots__ = ("phase", "depth", "label", "current", "node", "empty", "tokens", "next",
-                 "span_next")
+    __slots__ = ("phase", "depth", "label", "current", "node", "empty", "tokens", "order",
+                 "next", "span_next")
 
     def __init__(self, phase, label, current, node, empty):
         self.phase = phase
@@ -222,6 +234,7 @@ class _State:
         # at AWAIT_ROOT and AWAIT_EVENT: the input has no span
         self.empty = empty
         self.tokens: frozenset[str] | None = None  # None once generation has ended
+        self.order: tuple[str, ...] = ()  # tokens, sorted
         self.next: dict[str, _State] = {}
         self.span_next: _State | None = None
 
@@ -307,6 +320,7 @@ class _Grammar:
             assert phase is Phase.AWAIT_END
             tokens = frozenset({EOS})
         state.tokens = tokens
+        state.order = tuple(sorted(tokens))
         return state
 
     def _transition(self, state: _State, token: str) -> _State:
@@ -478,13 +492,17 @@ def constrained_decode(
     only the survivors, keeping a sorted list of the ``beam_width`` best
     candidates so far and skipping, before its log, a candidate that
     ties one its hypothesis already dropped and has a larger token (see
-    the module docstring; the result is the same).  Both scan a
-    position's grammar tokens, then its mention tokens, in one loop; a
-    mention token equal to a label token counts once, as the label,
-    which beam checks only for a candidate it would keep.  The two differ
-    even at width 1: once a step has probability zero every beam score
-    is -inf, so beam falls back to token order while greedy still
-    follows the current step's probabilities.  The grammar comes from
+    the module docstring; the result is the same).  Beam meets the
+    grammar tokens, and the span trie root's tokens, in sorted order, so
+    a tie group is cut after its first loss, and it links each
+    hypothesis's log-probabilities to its parent's, building a tuple for
+    the winner alone.  Both scan a position's grammar tokens, then its
+    mention tokens, in one loop; a mention token equal to a label token
+    counts once, as the label, which beam checks only for a candidate it
+    would keep.  The two differ even at width 1: once a step has
+    probability zero every beam score is -inf, so beam falls back to
+    token order while greedy still follows the current step's
+    probabilities.  The grammar comes from
     ``schema.tries``, built once per schema object, and is compiled once
     for it; only the span trie of ``inp`` is built per call, and only
     for a constrained decode.
@@ -604,9 +622,11 @@ def _beam(
 ) -> DecodeResult:
     end, root, width = grammar.end, span_trie.root, config.beam_width
     start = grammar.start_empty if span_trie.is_empty else grammar.start
+    root_order = None  # the root's tokens, sorted on first use
     # a hypothesis is (-score, prefix, logprobs, state, node): its score is
-    # ((0.0 + lp1) + lp2) + ..., kept as the prefix and logprobs grow
-    live = [(-0.0, (BOS,), (), start, None)]
+    # ((0.0 + lp1) + lp2) + ..., kept as the prefix grows; its logprobs are
+    # a link (lp, the parent's link), None before the first token
+    live = [(-0.0, (BOS,), None, start, None)]
     completed = []
     while live:
         if completed:
@@ -626,14 +646,20 @@ def _beam(
         # token ("" when its key exceeded the bar): a later one of this
         # hypothesis with the same p and a larger token sorts after it, so
         # it is skipped before its log.  The grammar tokens come first,
-        # then the mention tokens.
+        # then the mention tokens, each in sorted order but for the
+        # mention tokens of a node below the root, which are few.
         scored = []
         bar = inf
         for i, (neg_score, prefix, _, state, node) in enumerate(live):
             dist = scorer.next_distribution(inp, prefix)
             score, tokens = -neg_score, state.tokens
+            mentions = node
+            if node is root:
+                if root_order is None:
+                    root_order = tuple(sorted(root))
+                mentions = root_order
             dropped_p, dropped_token = -1.0, ""
-            for source in (tokens, node) if node else (tokens,):
+            for source in (state.order, mentions) if node else (state.order,):
                 for token in source:
                     p = dist.get(token, 0.0)
                     if not 0.0 <= p < inf:  # also false for NaN
@@ -645,7 +671,7 @@ def _beam(
                     if key > bar:
                         dropped_p, dropped_token = p, ""
                         continue
-                    if source is node and token in tokens:
+                    if source is mentions and token in tokens:
                         continue  # a label token's second copy: the label goes on
                     cand = (key, prefix, token, i, lp)
                     if len(scored) == width:
@@ -665,16 +691,20 @@ def _beam(
                 node = root if state.span_next is not None else None
             else:
                 state, node = state.span_next, node[token]
-            hyp = (neg_score, prefix + (token,), logprobs + (lp,), state, node)
+            hyp = (neg_score, prefix + (token,), (lp, logprobs), state, node)
             (completed if state is end else live).append(hyp)
     if not completed:
         raise TruncationError(
             f"no hypothesis finished within max_length={config.max_length} tokens"
         )
     # the best score, ties going to the smaller prefix
-    _, prefix, logprobs, _, _ = min(completed, key=lambda hyp: hyp[:2])
+    _, prefix, link, _, _ = min(completed, key=lambda hyp: hyp[:2])
+    logprobs = []
+    while link is not None:
+        lp, link = link
+        logprobs.append(lp)
     # drop the sentinels
-    return DecodeResult(prefix[1:-1], logprobs)
+    return DecodeResult(prefix[1:-1], tuple(reversed(logprobs)))
 
 
 def decode_batch(

@@ -20,6 +20,7 @@ from math import inf
 from operator import add, truediv
 from typing import Iterable, Sequence
 
+from .dataio import _unencodable
 from .files import DataError, read_text, write_lines
 from .schema import EventSchema
 from .span_index import TokenizedInput
@@ -81,7 +82,11 @@ class OracleScorer:
     the target path it is a copy of one ε/(V−1) dict, built on the
     first such call, with the target token's value replaced.  The call
     for the last target token takes the ε dict itself, so a decode that
-    stays on the target path keeps no dict at all.
+    stays on the target path keeps no dict at all.  A prefix whose last
+    token is not the target's token at its position is off the path
+    whatever its length, so that test, O(1), comes before the whole
+    prefix is compared with the target's; most of a beam's off-target
+    calls end there.
     """
 
     def __init__(
@@ -104,22 +109,27 @@ class OracleScorer:
         self, inp: TokenizedInput, prefix: Sequence[str]
     ) -> Mapping[str, float]:
         i = len(prefix)
-        on_target = i < len(self.stream) and tuple(prefix) == self.stream[:i]
-        if not on_target:
+        stream = self.stream
+        # the last token settles most off-target prefixes before the whole
+        # prefix is compared, and a tuple prefix is compared without a copy
+        if i >= len(stream) or i and prefix[-1] != stream[i - 1] or (
+            stream[:i] != prefix and stream[:i] != tuple(prefix)
+        ):
             uniform = self._uniform
             if uniform is None:
                 uniform = self._uniform = dict.fromkeys(self.vocab, 1.0 / len(self.vocab))
             return uniform.copy()
-        target_token = self.stream[i]
         rest = self._rest
         if rest is None:
-            rest = dict.fromkeys(self.vocab, self.epsilon / (len(self.vocab) - 1))
-        # the call for the last target token takes the ε dict itself, so
-        # a scorer whose decode has finished holds no dict
-        last = i == len(self.stream) - 1
-        self._rest = None if last else rest
-        dist = rest if last else rest.copy()
-        dist[target_token] = 1.0 - self.epsilon
+            rest = self._rest = dict.fromkeys(self.vocab, self.epsilon / (len(self.vocab) - 1))
+        if i < len(stream) - 1:
+            dist = rest.copy()
+        else:
+            # the call for the last target token takes the ε dict itself,
+            # so a scorer whose decode has finished holds no dict
+            self._rest = None
+            dist = rest
+        dist[stream[i]] = 1.0 - self.epsilon
         return dist
 
 
@@ -477,7 +487,9 @@ def load_scorer(path) -> NgramScorer:
     that repeats a key, such as a hand-edited count table, is refused
     rather than read as the key's last value.  Every refusal is a
     ``ValueError`` that names ``path``; for bytes that are not UTF-8 it
-    gives the codec's own message."""
+    gives the codec's own message, and a string that UTF-8 cannot encode,
+    a lone surrogate that a ``\\ud800`` escape spells, is refused as in
+    ``read_dataset``."""
 
     def unique_keys(pairs):
         table = dict(pairs)
@@ -487,13 +499,20 @@ def load_scorer(path) -> NgramScorer:
         return table
 
     try:
-        payload = json.loads(read_text(path), object_pairs_hook=unique_keys)
+        text = read_text(path)
+        payload = json.loads(text, object_pairs_hook=unique_keys)
     except DataError as err:  # not UTF-8, worded as the codec words it
         raise ValueError(f"{path}: malformed scorer artifact: {err.__cause__}") from None
     except RecursionError:
         raise ValueError(f"{path}: malformed scorer artifact: nested too deeply") from None
     except ValueError as err:  # not JSON, an over-long integer, a repeated key
         raise ValueError(f"{path}: malformed scorer artifact: {err}") from None
+    # only a \u escape can spell a lone surrogate, which save_scorer could not write
+    bad = _unencodable(payload) if "\\u" in text else None
+    if bad is not None:
+        raise ValueError(
+            f"{path}: malformed scorer artifact: a string holds {bad!r}, which UTF-8 cannot encode"
+        )
     if not isinstance(payload, dict) or payload.get("format") != NGRAM_FORMAT:
         raise ValueError(f"{path}: not a scorer artifact")
     if payload.get("version") != NGRAM_VERSION:

@@ -443,6 +443,24 @@ def test_a_string_that_utf8_cannot_encode_exits_4(capsys, tmp_path, schema_file,
     assert example.inp.text == "y \u00e9 \U0001f600"
 
 
+def test_a_scorer_string_that_utf8_cannot_encode_exits_4(
+    capsys, tmp_path, schema_file, gold_file
+):
+    scorer = tmp_path / "scorer.json"
+    save_scorer(train_ngram([(TokenizedInput.from_tokens(["y"]), ("(", ")"))]), scorer)
+    payload = json.loads(scorer.read_text(encoding="utf-8"))
+    scorer.write_text(json.dumps({**payload, "vocab": ["\ud800"]}), encoding="utf-8")
+    preds = tmp_path / "preds.jsonl"
+    code, out, err = run(capsys, "decode", gold_file, schema_file, str(scorer),
+                         "--out", str(preds))
+    assert (code, out) == (4, "")
+    assert err == (
+        f"error: {scorer}: malformed scorer artifact: a string holds '\\ud800',"
+        " which UTF-8 cannot encode\n"
+    )
+    assert not preds.exists()
+
+
 def test_eval_identity_is_perfect(capsys, gold_file):
     code, out, _ = run(capsys, "eval", gold_file, gold_file)
     assert code == 0

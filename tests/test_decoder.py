@@ -593,6 +593,30 @@ def test_a_label_token_that_is_also_an_input_word_is_a_candidate_once():
     assert got.tokens == (OPEN, OPEN, "End", "Position", "Position", CLOSE, CLOSE)
 
 
+def test_a_tie_met_out_of_sorted_order_below_the_span_root_is_still_kept():
+    # The span "x" goes on with b, c, d, a, in the order they first follow
+    # it, not sorted.  All four tie and the beam keeps two: b and c fill
+    # it, d is dropped, and a, met after d with the same probability,
+    # still sorts before c and takes its place.  A skip on the probability
+    # alone would keep b and c, and b's output would win.
+    schema = parse_schema("T:")
+    inp = TokenizedInput.from_tokens(["x", "b", "x", "c", "x", "d", "x", "a"])
+    scorer = PrefixTable(
+        {
+            (BOS,): {OPEN: 1.0},
+            (BOS, OPEN): {OPEN: 1.0},
+            (BOS, OPEN, OPEN): {"T": 1.0},
+            (BOS, OPEN, OPEN, "T"): {"x": 1.0},
+            (BOS, OPEN, OPEN, "T", "x"): dict.fromkeys("abcd", 0.25),
+        },
+        {CLOSE: 0.5, EOS: 0.5},
+    )
+    config = DecodeConfig(mode="beam", beam_width=2, max_length=12)
+    got = constrained_decode(scorer, inp, schema, config)
+    assert got == reference_beam(scorer, inp, schema, config)
+    assert got.tokens == (OPEN, OPEN, "T", "x", "a", CLOSE, CLOSE)
+
+
 def random_walk(rng, schema, inp, soft_len):
     """A random legal body: it closes only once past ``soft_len`` tokens."""
     tries = SchemaTries.from_schema(schema)
@@ -651,7 +675,7 @@ def _outcome(decode):
 @given(
     seed=st.integers(min_value=0, max_value=10**9),
     kind=st.sampled_from(
-        ["random", "uniform", "empty", "gappy", "tied", "noisy-oracle", "spoiled"]
+        ["random", "uniform", "empty", "gappy", "tied", "noisy-oracle", "ngram", "spoiled"]
     ),
     width=st.integers(min_value=1, max_value=5),
     max_length=st.integers(min_value=4, max_value=30),
@@ -664,7 +688,10 @@ def test_beam_equals_reference_search(seed, kind, width, max_length):
         schema = random_schema(rng, max_types=4, max_roles=3)
     # words and label tokens, so that mentions can collide with labels
     pool = ["x", "y", "z", *(t for name in schema.types for t in split_label(name))]
-    inp = TokenizedInput.from_tokens([rng.choice(pool) for _ in range(rng.randint(0, 5))])
+    # some inputs long enough that a tie group of the span trie's root is
+    # wider than the beam
+    length = rng.randint(8, 12) if rng.random() < 0.25 else rng.randint(0, 5)
+    inp = TokenizedInput.from_tokens([rng.choice(pool) for _ in range(length)])
     vocab = decoding_vocab(schema, inp)
     scorer = {
         "random": lambda: RandomScorer(vocab, seed),
@@ -678,6 +705,12 @@ def test_beam_equals_reference_search(seed, kind, width, max_length):
             random_walk(rng, schema, inp, rng.randint(2, max_length)),
             rng.choice((0.05, 0.3, 0.6)),
             vocab,
+        ),
+        # a small alpha: smoothing ties the unseen tokens, and the
+        # copy-boosted ones
+        "ngram": lambda: train_ngram(
+            [(inp, random_walk(rng, schema, inp, rng.randint(2, 12))) for _ in range(3)],
+            n=rng.randint(1, 3), alpha=0.01, extra_vocab=vocab,
         ),
         # bad scores: the smallest bad legal token is named
         "spoiled": lambda: SpoiledScorer(

@@ -47,6 +47,50 @@ def test_decodes_and_error_messages_agree_across_hash_seeds():
     assert digests == {digest()}
 
 
+# Counts beam's log and insort calls over oracle beam decodes whose
+# hypotheses leave the target path, where every legal token ties under the
+# uniform distribution: a cut that met a tie group in a set's order would
+# take a number of logs and inserts that changed with the hash seed.
+BEAM_WORK = """
+import evseq.decoder as decoder
+from evseq import (DecodeConfig, OracleScorer, constrained_decode, decoding_vocab,
+                   generate_synthetic, linearize, parse_schema)
+schema = parse_schema(
+    "Transport: Artifact, Origin, Destination, Agent\\n"
+    "Arrest-Jail: Person, Agent, Time\\n"
+    "Transfer-Ownership: Buyer, Seller, Artifact\\n"
+    "Transfer-Money: Giver, Recipient, Money\\n"
+    "Attack: Attacker, Target, Place\\n"
+)
+calls = {"log": 0, "insort": 0}
+def counted(name, f):
+    def wrapper(*args):
+        calls[name] += 1
+        return f(*args)
+    return wrapper
+decoder.log = counted("log", decoder.log)
+decoder.insort = counted("insort", decoder.insort)
+config = DecodeConfig(mode="beam", beam_width=4, max_length=256)
+for ex in generate_synthetic(schema, seed=3, n_sentences=8, max_events=3):
+    scorer = OracleScorer(linearize(ex.records), 0.01, decoding_vocab(schema, ex.inp))
+    constrained_decode(scorer, ex.inp, schema, config)
+print(calls["log"], calls["insort"])
+"""
+
+
+def test_beam_work_does_not_depend_on_the_hash_seed():
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    counts = [
+        subprocess.run(
+            [sys.executable, "-c", BEAM_WORK], capture_output=True, text=True, timeout=300,
+            env={**env, "PYTHONHASHSEED": seed}, check=True,
+        ).stdout.split()
+        for seed in ("0", "1")
+    ]
+    assert counts[0] == counts[1]
+    assert int(counts[0][1]) > 0  # the decodes did insert
+
+
 def _outcome(search, scorer, inp, config):
     try:
         return search(scorer, inp, SCHEMA, config)

@@ -119,6 +119,25 @@ def test_oracle_distributions_equal_a_fromkeys_construction():
         dist.clear()
 
 
+def test_oracle_edge_prefixes_equal_a_fromkeys_construction():
+    scorer = OracleScorer(("(", "b", ")"), epsilon=0.1, vocab=["a", "b", "c"])
+    stream = scorer.stream
+    for prefix in [
+        (),  # the target is <bos>
+        list(stream[:3]),  # a list reads as the tuple does
+        (*stream, ")"),  # past the end of the stream
+        (*stream, ")", "<eos>"),
+        ("<bos>", "b", "b"),  # off the path, ending on the target's token
+        ("<bos>", "(", "b", ")", ")"),
+    ]:
+        dist = scorer.next_distribution(EMPTY, prefix)
+        assert list(dist.items()) == list(fromkeys_oracle(scorer, prefix).items()), prefix
+    assert scorer.next_distribution(EMPTY, ())["<bos>"] == 0.9
+    listed = scorer.next_distribution(EMPTY, list(stream[:3]))
+    assert listed == scorer.next_distribution(EMPTY, stream[:3])
+    assert listed[")"] == 0.9
+
+
 class FromkeysOracle:
     """An oracle whose every distribution is built from scratch."""
 
@@ -740,6 +759,30 @@ def test_load_scorer_rejects_foreign_files(tmp_path):
         partial.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=re.escape(f"{partial}: scorer artifact has no {key}")):
             load_scorer(partial)
+
+
+def test_load_scorer_refuses_a_string_that_utf8_cannot_encode(tmp_path):
+    # json.dumps escapes every non-ASCII character, so "\ud800" is written
+    # as its escape, which json.loads reads back as a lone surrogate
+    path = tmp_path / "scorer.json"
+    save_scorer(train_ngram(one_item_corpus(), n=2), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    order_2 = payload["counts"][1][1]
+    for edited in [
+        {**payload, "vocab": [*payload["vocab"], "\ud800"]},
+        {**payload, "counts": [payload["counts"][0], [2, [*order_2, [["\ud800"], [["(", 1]]]]]]},
+        {**payload, "counts": [[1, [[[], [["\ud800", 1]]]]]]},
+    ]:
+        path.write_text(json.dumps(edited), encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            load_scorer(path)
+        assert str(err.value) == (
+            f"{path}: malformed scorer artifact: a string holds '\\ud800',"
+            " which UTF-8 cannot encode"
+        )
+    # an escaped character that UTF-8 can encode, and a surrogate pair, load
+    path.write_text(json.dumps({**payload, "vocab": ["\u00e9", "\U0001f600"]}), encoding="utf-8")
+    assert {"\u00e9", "\U0001f600"} <= load_scorer(path).vocab
 
 
 def test_oracle_factory_matches_class(fig_seq):
